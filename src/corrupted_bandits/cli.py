@@ -34,6 +34,7 @@ from .harness import (
     ExperimentConfig,
     bound_overlay,
     monte_carlo_regret,
+    resolve,
     sweep,
     write_results,
 )
@@ -92,10 +93,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if config.out is None:
         raise SystemExit("run requires --out (or an 'out' entry in the config file)")
-    curve = monte_carlo_regret(config, n_jobs=args.jobs)
+    _, env, _ = resolve(config)
+    curve = monte_carlo_regret(config, env=env, n_jobs=args.jobs)
     overlays = None
     if config.overlay:
-        overlays = {curve.label: bound_overlay(config)}
+        overlays = {curve.label: bound_overlay(config, env=env)}
     write_results([curve], config.out, overlays=overlays, config=config)
     print(f"final regret {curve.final:.6g} -> {config.out}")
     return 0

@@ -239,6 +239,13 @@ def mad_scale(samples: Sequence[float] | np.ndarray) -> float:
     return MAD_CONSISTENCY * float(np.median(np.abs(x - med)))
 
 
+def _doubled(buf: np.ndarray, used: int) -> np.ndarray:
+    """A buffer of twice the capacity of ``buf`` holding its first ``used`` entries."""
+    grown = np.empty(buf.size * 2, dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
+
+
 def floor_pow2(t: int) -> int:
     """Largest power of two not exceeding ``t`` (``t >= 1``)."""
     if t < 1:
@@ -279,9 +286,7 @@ class SequentialHuber:
 
     def update(self, x: float) -> None:
         if self.count == self._buf.size:
-            grown = np.empty(self._buf.size * 2, dtype=float)
-            grown[: self.count] = self._buf[: self.count]
-            self._buf = grown
+            self._buf = _doubled(self._buf, self.count)
         self._buf[self.count] = x
         self.count += 1
         t = self.count

@@ -14,25 +14,22 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .envs import BanditEnv, make_env
 from .policies import PolicyBuild, make_policy
-from .theory import (
-    GapProfile,
-    max_pulls_huber_ucb_simplified,
-    max_pulls_seq_huber_ucb,
-    regret_decomposition,
-)
+from .theory import GapProfile, max_pulls_huber_ucb_simplified, max_pulls_seq_huber_ucb
 
 __all__ = [
     "ExperimentConfig",
     "EpisodeResult",
     "RegretCurve",
+    "resolve",
     "run_episode",
+    "aggregate",
     "monte_carlo_regret",
     "sweep",
     "bound_overlay",
@@ -87,18 +84,17 @@ class ExperimentConfig:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
 
     def resolved(self) -> "ExperimentConfig":
-        """Fill preset-dependent defaults for unset fields."""
-        defaults = PRESET_DEFAULTS.get(self.env, {})
-        out = ExperimentConfig(**{**asdict(self), **{}})
-        if out.beta_mult is None:
-            out.beta_mult = defaults.get("beta_mult", 4.0)
-        if out.eps_assumed is None:
-            out.eps_assumed = self.eps_true
-        if out.bias_rule is None:
-            out.bias_rule = defaults.get("bias_rule", "zero")
-        if out.exp3_clip is None:
-            out.exp3_clip = tuple(defaults.get("exp3_clip", (-10.0, 10.0)))
-        return out
+        """A copy with preset-dependent defaults filled in for unset fields."""
+        defaults = {
+            "beta_mult": 4.0,
+            "eps_assumed": self.eps_true,
+            "bias_rule": "zero",
+            "exp3_clip": (-10.0, 10.0),
+            **PRESET_DEFAULTS.get(self.env, {}),
+        }
+        return replace(
+            self, **{key: value for key, value in defaults.items() if getattr(self, key) is None}
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,6 +121,27 @@ def _arm_rngs(seed: int, rep: int, k: int) -> list[np.random.Generator]:
         np.random.Generator(np.random.Philox([seed, rep, i]))
         for i in range(k + 1)
     ]
+
+
+def resolve(
+    config: ExperimentConfig, env: BanditEnv | None = None
+) -> tuple[ExperimentConfig, BanditEnv, PolicyBuild]:
+    """The resolved config, its environment (``env`` if given) and its policy recipe."""
+    cfg = config.resolved()
+    if env is None:
+        env = make_env(cfg.env, cfg.eps_true)
+    build = make_policy(
+        cfg.policy,
+        env,
+        horizon=cfg.horizon,
+        eps_assumed=cfg.eps_assumed,
+        beta_mult=cfg.beta_mult,
+        bias_rule=cfg.bias_rule,
+        p_mode=cfg.p_mode,
+        p_value=cfg.p_value,
+        exp3_clip=tuple(cfg.exp3_clip),
+    )
+    return cfg, env, build
 
 
 def run_episode(
@@ -174,19 +191,36 @@ class RegretCurve:
 
 def _mc_task(args):
     env, build, horizon, seed, rep = args
-    result = run_episode(env, build, horizon, seed, rep)
-    return rep, result.actions
+    return run_episode(env, build, horizon, seed, rep).actions
 
 
-def _counts_cube(actions_by_rep: list[np.ndarray], k: int) -> np.ndarray:
-    """Cumulative per-step pull counts, shape (reps, horizon, k)."""
-    reps = len(actions_by_rep)
-    horizon = actions_by_rep[0].size
-    cube = np.zeros((reps, horizon, k), dtype=np.float64)
+def aggregate(
+    actions_by_rep: list[np.ndarray], gaps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-step mean regret, its standard error, and the final mean pull counts.
+
+    Pull counts are summed over replications one ``(horizon, k)`` array at a
+    time, so memory stays at ``reps * horizon`` for the per-replication
+    regret.  The mean regret at step ``t`` is the gap-weighted mean count,
+    one ``1 x k`` product per step.
+    """
+    reps, horizon, k = len(actions_by_rep), actions_by_rep[0].size, gaps.size
     eye = np.eye(k)
+    total = np.zeros((horizon, k))
+    per_rep = np.empty((reps, horizon))
     for m, actions in enumerate(actions_by_rep):
-        np.cumsum(eye[actions], axis=0, out=cube[m])
-    return cube
+        counts = np.cumsum(eye[actions], axis=0)
+        total += counts
+        per_rep[m] = counts @ gaps
+    mean_counts = total / reps
+    # A batched 1 x k product per step rounds like a plain dot product; one
+    # matrix-vector product over all steps does not, in the last bits.
+    mean = (mean_counts[:, None, :] @ gaps[:, None])[:, 0, 0]
+    if reps > 1:
+        stderr = per_rep.std(axis=0, ddof=1) / math.sqrt(reps)
+    else:
+        stderr = np.zeros(horizon)
+    return mean, stderr, mean_counts[-1]
 
 
 def monte_carlo_regret(
@@ -200,46 +234,25 @@ def monte_carlo_regret(
     Replication ``m`` always uses the streams keyed by ``(seed, m, arm)``, so
     the curve does not depend on ``n_jobs`` or completion order.
     """
-    cfg = config.resolved()
-    if env is None:
-        env = make_env(cfg.env, cfg.eps_true)
-    build = make_policy(
-        cfg.policy,
-        env,
-        horizon=cfg.horizon,
-        eps_assumed=cfg.eps_assumed,
-        beta_mult=cfg.beta_mult,
-        bias_rule=cfg.bias_rule,
-        p_mode=cfg.p_mode,
-        p_value=cfg.p_value,
-        exp3_clip=tuple(cfg.exp3_clip),
-    )
+    cfg, env, build = resolve(config, env)
     tasks = [(env, build, cfg.horizon, cfg.seed, m) for m in range(cfg.reps)]
     if n_jobs == 1 or cfg.reps == 1:
-        results = [_mc_task(t) for t in tasks]
+        actions_by_rep = [_mc_task(t) for t in tasks]
     else:
         workers = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_task, tasks, chunksize=max(1, cfg.reps // (4 * workers))))
-    results.sort(key=lambda pair: pair[0])
-    actions_by_rep = [actions for _, actions in results]
-
-    cube = _counts_cube(actions_by_rep, env.k)
-    gaps = env.gaps
-    mean_counts = cube.mean(axis=0)
-    mean = np.array([regret_decomposition(gaps, mean_counts[t]) for t in range(cfg.horizon)])
-    per_rep = cube @ gaps
-    if cfg.reps > 1:
-        stderr = per_rep.std(axis=0, ddof=1) / math.sqrt(cfg.reps)
-    else:
-        stderr = np.zeros(cfg.horizon)
+            # map yields in task order, i.e. by replication index
+            actions_by_rep = list(
+                pool.map(_mc_task, tasks, chunksize=max(1, cfg.reps // (4 * workers)))
+            )
+    mean, stderr, mean_pulls = aggregate(actions_by_rep, env.gaps)
     return RegretCurve(
         label=label or cfg.policy,
         steps=np.arange(1, cfg.horizon + 1),
         mean=mean,
         stderr=stderr,
-        mean_pulls=mean_counts[-1],
-        gaps=gaps.copy(),
+        mean_pulls=mean_pulls,
+        gaps=env.gaps.copy(),
         reps=cfg.reps,
     )
 
@@ -254,10 +267,7 @@ def sweep(
     for value in config.sweep_values:
         # apply the axis before resolving defaults, so dependent fields (an
         # unset assumed corruption rate tracks the true one) follow the point
-        point = ExperimentConfig.from_dict(config.to_dict())
-        setattr(point, config.sweep_axis, value)
-        point.sweep_axis = None
-        point.sweep_values = []
+        point = replace(config, **{config.sweep_axis: value}, sweep_axis=None, sweep_values=[])
         curve = monte_carlo_regret(
             point,
             n_jobs=n_jobs,
@@ -274,21 +284,9 @@ def bound_overlay(config: ExperimentConfig, env: BanditEnv | None = None) -> np.
     analytic scales and the policy's configured parameters; ``inf`` where a
     shifted gap is nonpositive (bound inapplicable).
     """
-    cfg = config.resolved()
-    if cfg.policy not in ("huber_ucb", "seq_huber_ucb"):
+    if config.policy not in ("huber_ucb", "seq_huber_ucb"):
         raise ValueError("bound overlays exist only for the robust index policies")
-    if env is None:
-        env = make_env(cfg.env, cfg.eps_true)
-    build = make_policy(
-        cfg.policy,
-        env,
-        horizon=cfg.horizon,
-        eps_assumed=cfg.eps_assumed,
-        beta_mult=cfg.beta_mult,
-        bias_rule=cfg.bias_rule,
-        p_mode=cfg.p_mode,
-        p_value=cfg.p_value,
-    )
+    cfg, env, build = resolve(config, env)
     bound_fn = (
         max_pulls_huber_ucb_simplified
         if cfg.policy == "huber_ucb"

@@ -11,7 +11,7 @@ replications.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,10 +21,9 @@ from .confidence import HuberParams, chebyshev_p
 from .envs import BanditEnv
 from .estimators import (
     SequentialHuber,
+    _doubled,
     _huber_root_sorted,
     default_root_tol,
-    floor_pow2,
-    mad_scale,
     median_of_means,
 )
 
@@ -47,47 +46,29 @@ TIE_TOL = 1e-12
 
 
 class _ArmBuffer:
-    """Reward store for one arm: chronological and sorted views plus prefix sums."""
+    """One arm's rewards in sorted order plus their prefix sums, for Huber roots."""
 
     def __init__(self, capacity: int = 64):
         cap = max(capacity, 1)
-        self._chron = np.empty(cap, dtype=float)
         self._sorted = np.empty(cap, dtype=float)
         self._prefix = np.zeros(cap + 1, dtype=float)
         self.count = 0
 
-    def _grow(self) -> None:
-        cap = self._chron.size * 2
-        for name in ("_chron", "_sorted"):
-            new = np.empty(cap, dtype=float)
-            new[: self.count] = getattr(self, name)[: self.count]
-            setattr(self, name, new)
-        new_prefix = np.zeros(cap + 1, dtype=float)
-        new_prefix[: self.count + 1] = self._prefix[: self.count + 1]
-        self._prefix = new_prefix
-
     def append(self, x: float) -> None:
-        if self.count == self._chron.size:
-            self._grow()
         n = self.count
-        self._chron[n] = x
+        if n == self._sorted.size:
+            self._sorted = _doubled(self._sorted, n)
+            self._prefix = _doubled(self._prefix, n + 1)
         pos = int(np.searchsorted(self._sorted[:n], x))
         self._sorted[pos + 1 : n + 1] = self._sorted[pos:n]
         self._sorted[pos] = x
         self.count = n + 1
         np.cumsum(self._sorted[: self.count], out=self._prefix[1 : self.count + 1])
 
-    @property
-    def values(self) -> np.ndarray:
-        return self._chron[: self.count]
-
     def huber_root(self, beta: float, guess: float | None = None) -> float:
-        xs = self._sorted[: self.count]
-        if xs[0] == xs[-1]:
-            return float(xs[0])
         tol = default_root_tol(self.count, beta)
         return _huber_root_sorted(
-            xs, self._prefix[: self.count + 1], beta, tol, guess=guess
+            self._sorted[: self.count], self._prefix[: self.count + 1], beta, tol, guess=guess
         )
 
 
@@ -137,46 +118,22 @@ class _BasePolicy:
 class HuberUCB(_BasePolicy):
     """Index policy on batch Huber estimates with corruption-aware bonuses.
 
-    The pulled arm's estimate is recomputed from its full buffer on every
-    update; other arms keep their cached estimates.  With ``sigma_mode="mad"``
-    the scale (and with it ``beta``, ``p``, ``bias``) is re-derived from the
-    arm's own data at power-of-two pull counts instead of being fixed.
+    Each arm's parameters (``beta``, ``sigma``, ``eps``, ``p``, ``bias``)
+    are fixed at construction.  The pulled arm's estimate is recomputed from
+    its full buffer on every update; other arms keep their cached estimates.
     """
 
-    def __init__(
-        self,
-        arm_params: Sequence[HuberParams],
-        horizon: int | None = None,
-        sigma_mode: str = "known",
-        beta_mult: float = 4.0,
-    ):
+    def __init__(self, arm_params: Sequence[HuberParams], horizon: int | None = None):
         super().__init__(len(arm_params))
-        if sigma_mode not in ("known", "mad"):
-            raise ValueError("sigma_mode must be 'known' or 'mad'")
         self.params = list(arm_params)
-        self.sigma_mode = sigma_mode
-        self.beta_mult = beta_mult
         cap = horizon if horizon else 64
         self.buffers = [_ArmBuffer(cap) for _ in range(self.k)]
         self.estimates = np.zeros(self.k)
-
-    def _refresh_params_from_data(self, arm: int) -> None:
-        sigma = mad_scale(self.buffers[arm].values)
-        if sigma <= 0:
-            return
-        old = self.params[arm]
-        beta = self.beta_mult * sigma
-        p = resolve_p("chebyshev", None, sigma, beta, old.eps)
-        self.params[arm] = HuberParams(
-            beta=beta, sigma=sigma, eps=old.eps, p=p, bias=old.bias
-        )
 
     def update(self, arm: int, reward: float) -> None:
         self._record(arm)
         buf = self.buffers[arm]
         buf.append(reward)
-        if self.sigma_mode == "mad" and buf.count == floor_pow2(buf.count):
-            self._refresh_params_from_data(arm)
         guess = self.estimates[arm] if buf.count > 1 else None
         self.estimates[arm] = buf.huber_root(self.params[arm].beta, guess=guess)
 
@@ -237,12 +194,11 @@ class RobustUCBCatoni(_BasePolicy):
     ``sigma * sqrt(8 ln t / s)``.
     """
 
-    def __init__(self, sigmas: Sequence[float], horizon: int | None = None, scale: float = 1.0):
+    def __init__(self, sigmas: Sequence[float], horizon: int | None = None):
         super().__init__(len(sigmas))
         if any(s <= 0 for s in sigmas):
             raise ValueError("sigmas must be positive")
         self.sigmas = [float(s) for s in sigmas]
-        self.scale = scale
         cap = horizon if horizon else 64
         self.buffers = [_ArmBuffer(cap) for _ in range(self.k)]
         self.estimates = np.zeros(self.k)
@@ -251,7 +207,7 @@ class RobustUCBCatoni(_BasePolicy):
         self._record(arm)
         buf = self.buffers[arm]
         buf.append(reward)
-        beta = self.scale * self.sigmas[arm] * math.sqrt(buf.count)
+        beta = self.sigmas[arm] * math.sqrt(buf.count)
         guess = self.estimates[arm] if buf.count > 1 else None
         self.estimates[arm] = buf.huber_root(beta, guess=guess)
 
@@ -273,7 +229,8 @@ class RobustUCBMOM(_BasePolicy):
             raise ValueError("sigmas must be positive")
         self.sigmas = [float(s) for s in sigmas]
         cap = horizon if horizon else 64
-        self.buffers = [_ArmBuffer(cap) for _ in range(self.k)]
+        # Chronological rewards per arm: block means depend on arrival order.
+        self.rewards = [np.empty(cap, dtype=float) for _ in range(self.k)]
         self._cache: list[tuple[int, int, float]] = [(-1, -1, 0.0)] * self.k
 
     @staticmethod
@@ -282,15 +239,18 @@ class RobustUCBMOM(_BasePolicy):
 
     def update(self, arm: int, reward: float) -> None:
         self._record(arm)
-        self.buffers[arm].append(reward)
+        n = int(self.counts[arm]) - 1
+        if n == self.rewards[arm].size:
+            self.rewards[arm] = _doubled(self.rewards[arm], n)
+        self.rewards[arm][n] = reward
 
     def _estimate(self, arm: int, t: int) -> float:
-        s = self.buffers[arm].count
+        s = int(self.counts[arm])
         blocks = self.block_count(s, t)
         key_s, key_b, value = self._cache[arm]
         if key_s == s and key_b == blocks:
             return value
-        value = median_of_means(self.buffers[arm].values, blocks)
+        value = median_of_means(self.rewards[arm][:s], blocks)
         self._cache[arm] = (s, blocks, value)
         return value
 
@@ -405,7 +365,6 @@ def build_huber_params(
     bias_rule: str = "zero",
     p_mode: str = "chebyshev",
     p_value: float | None = None,
-    sigma_override: Sequence[float] | None = None,
 ) -> list[HuberParams]:
     """Per-arm parameters from an environment's analytic inlier moments."""
     if bias_rule not in BIAS_RULES:
@@ -413,12 +372,8 @@ def build_huber_params(
     if beta_mult <= 0:
         raise ValueError("beta_mult must be positive")
     params = []
-    for i, arm in enumerate(env.arms):
-        sigma = (
-            float(sigma_override[i]) if sigma_override is not None
-            else float(env.sigmas[i])
-        )
-        sigma = max(sigma, SIGMA_FLOOR)
+    for arm, raw_sigma in zip(env.arms, env.sigmas):
+        sigma = max(float(raw_sigma), SIGMA_FLOOR)
         beta = beta_mult * sigma
         p = resolve_p(p_mode, p_value, sigma, beta, eps_assumed, inlier=arm.inlier)
         if bias_rule == "zero":
@@ -440,25 +395,17 @@ class PolicyBuild:
     horizon: int
     arm_params: tuple[HuberParams, ...] = ()
     sigmas: tuple[float, ...] = ()
-    sigma_mode: str = "known"
-    beta_mult: float = 4.0
-    catoni_scale: float = 1.0
     exp3_clip: tuple[float, float] = (-10.0, 10.0)
 
     def build(self):
         if self.name == "huber_ucb":
-            return HuberUCB(
-                self.arm_params,
-                horizon=self.horizon,
-                sigma_mode=self.sigma_mode,
-                beta_mult=self.beta_mult,
-            )
+            return HuberUCB(self.arm_params, horizon=self.horizon)
         if self.name == "seq_huber_ucb":
             return SeqHuberUCB(self.arm_params, horizon=self.horizon)
         if self.name == "ucb1":
             return UCB1(self.k)
         if self.name == "robust_ucb_catoni":
-            return RobustUCBCatoni(self.sigmas, horizon=self.horizon, scale=self.catoni_scale)
+            return RobustUCBCatoni(self.sigmas, horizon=self.horizon)
         if self.name == "robust_ucb_mom":
             return RobustUCBMOM(self.sigmas, horizon=self.horizon)
         if self.name == "exp3":
@@ -475,10 +422,7 @@ def make_policy(
     bias_rule: str = "zero",
     p_mode: str = "chebyshev",
     p_value: float | None = None,
-    sigma_override: Sequence[float] | None = None,
-    sigma_mode: str = "known",
     exp3_clip: tuple[float, float] = (-10.0, 10.0),
-    catoni_scale: float = 1.0,
 ) -> PolicyBuild:
     """Resolve a named policy against an environment into a picklable build recipe."""
     if name not in POLICY_NAMES:
@@ -494,24 +438,15 @@ def make_policy(
                 bias_rule=bias_rule,
                 p_mode=p_mode,
                 p_value=p_value,
-                sigma_override=sigma_override,
             )
         )
     elif name in ("robust_ucb_catoni", "robust_ucb_mom"):
-        raw = (
-            tuple(float(s) for s in sigma_override)
-            if sigma_override is not None
-            else tuple(float(s) for s in env.sigmas)
-        )
-        sigmas = tuple(max(s, SIGMA_FLOOR) for s in raw)
+        sigmas = tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas)
     return PolicyBuild(
         name=name,
         k=env.k,
         horizon=horizon,
         arm_params=arm_params,
         sigmas=sigmas,
-        sigma_mode=sigma_mode,
-        beta_mult=beta_mult,
-        catoni_scale=catoni_scale,
         exp3_clip=exp3_clip,
     )

@@ -1,14 +1,15 @@
 import json
-import math
 import warnings
 
 import numpy as np
 import pytest
 
+from corrupted_bandits.confidence import HuberParams
 from corrupted_bandits.envs import BanditEnv, CorruptedArm, Dirac, Gaussian, make_env
 from corrupted_bandits.harness import (
     ExperimentConfig,
     RegretCurve,
+    aggregate,
     bound_overlay,
     monte_carlo_regret,
     read_results,
@@ -16,7 +17,7 @@ from corrupted_bandits.harness import (
     sweep,
     write_results,
 )
-from corrupted_bandits.policies import make_policy
+from corrupted_bandits.policies import HuberUCB, make_policy, resolve_p
 from corrupted_bandits.theory import regret_decomposition
 
 
@@ -64,10 +65,9 @@ class TestRunEpisode:
         # Wherever every index is finite, the better constant arm must win;
         # the growing exploration threshold may interleave forced pulls.
         env = dirac_env()
-        build = make_policy(
-            "huber_ucb", env, horizon=400, beta_mult=4.0, sigma_override=[0.05, 0.05]
-        )
-        policy = build.build()
+        p = resolve_p("chebyshev", None, 0.05, 0.2, 0.0)
+        arm = HuberParams(beta=0.2, sigma=0.05, eps=0.0, p=p, bias=0.0)
+        policy = HuberUCB([arm, arm], horizon=400)
         rng = np.random.Generator(np.random.Philox([3, 0]))
         finite_steps = 0
         for step in range(400):
@@ -138,6 +138,40 @@ class TestMonteCarlo:
             reps=1,
         )
         assert curve.growth_ratio() == 2.0
+
+
+def reference_aggregate(actions_by_rep, gaps):
+    """Reference aggregation: a (reps, horizon, k) count cube and one regret sum per step."""
+    reps, horizon, k = len(actions_by_rep), actions_by_rep[0].size, gaps.size
+    cube = np.zeros((reps, horizon, k), dtype=np.float64)
+    eye = np.eye(k)
+    for m, actions in enumerate(actions_by_rep):
+        np.cumsum(eye[actions], axis=0, out=cube[m])
+    mean_counts = cube.mean(axis=0)
+    mean = np.array([regret_decomposition(gaps, mean_counts[t]) for t in range(horizon)])
+    per_rep = cube @ gaps
+    if reps > 1:
+        stderr = per_rep.std(axis=0, ddof=1) / np.sqrt(reps)
+    else:
+        stderr = np.zeros(horizon)
+    return mean, stderr, mean_counts[-1]
+
+
+class TestAggregate:
+    def test_bit_identical_to_count_cube(self):
+        rng = np.random.Generator(np.random.Philox([21]))
+        for _ in range(40):
+            k = int(rng.integers(2, 9))
+            reps = int(rng.integers(1, 101))
+            horizon = int(rng.integers(1, 3001))
+            gaps = rng.uniform(0.0, 2.0, size=k)
+            gaps[rng.integers(k)] = 0.0
+            probs = rng.dirichlet(np.ones(k))
+            actions = [rng.choice(k, size=horizon, p=probs) for _ in range(reps)]
+            got = aggregate(actions, gaps)
+            want = reference_aggregate(actions, gaps)
+            for name, a, b in zip(("mean", "stderr", "mean_pulls"), got, want):
+                assert np.array_equal(a, b), (name, k, reps, horizon)
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import pytest
 
 from corrupted_bandits.confidence import HuberParams, exploration_threshold
 from corrupted_bandits.envs import make_env
-from corrupted_bandits.estimators import floor_pow2, huber_estimate
+from corrupted_bandits.estimators import floor_pow2, huber_estimate, median_of_means
 from corrupted_bandits.policies import (
     Exp3,
     HuberUCB,
@@ -137,16 +137,6 @@ class TestHuberUCBIndex:
         assert pol.estimates[1] == cached
         assert pol.buffers[1].count == 2
 
-    def test_mad_mode_refreshes_scale(self):
-        pol = HuberUCB(params(k=1, beta=4.0, sigma=1.0), sigma_mode="mad", beta_mult=4.0, horizon=64)
-        rng = rng_for(9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for _ in range(32):
-                pol.update(0, float(rng.normal(scale=5.0)))
-        assert pol.params[0].sigma != 1.0
-        assert pol.params[0].beta == pytest.approx(4.0 * pol.params[0].sigma)
-
 
 class TestSeqHuberUCB:
     def test_power_of_two_estimates_match_batch(self):
@@ -219,6 +209,32 @@ class TestRobustBaselines:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             RobustUCBCatoni([0.0])
+
+
+class TestBufferGrowth:
+    def test_estimates_match_from_scratch_after_growth(self):
+        # Without a horizon every arm starts at capacity 64; arm 0 gets 133
+        # of the 200 interleaved pulls and grows twice, arm 1 once.
+        mom = RobustUCBMOM([1.0, 1.0])
+        huber = HuberUCB(params(k=2))
+        seq = SeqHuberUCB(params(k=2))
+        rng = rng_for(15)
+        history = [[], []]
+        for step in range(200):
+            arm = 1 if step % 3 == 0 else 0
+            x = float(rng.standard_t(3))
+            for pol in (mom, huber, seq):
+                pol.update(arm, x)
+            history[arm].append(x)
+            data = np.array(history[arm])
+            t = mom.t + 1
+            blocks = RobustUCBMOM.block_count(data.size, t)
+            assert mom._estimate(arm, t) == median_of_means(data, blocks)
+            assert huber.estimates[arm] == pytest.approx(
+                huber_estimate(data, 4.0), rel=1e-9, abs=1e-12
+            )
+            assert np.array_equal(seq.estimators[arm].buffer, data)
+        assert len(history[0]) > 128 and 64 < len(history[1]) <= 128
 
 
 class TestExp3:
