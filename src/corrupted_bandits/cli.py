@@ -31,6 +31,7 @@ from .estimators import (
     median_of_means,
 )
 from .harness import (
+    OVERLAY_BOUNDS,
     ExperimentConfig,
     bound_overlay,
     monte_carlo_regret,
@@ -38,6 +39,7 @@ from .harness import (
     sweep,
     write_results,
 )
+from .policies import RobustUCBMOM
 from .theory import (
     GapProfile,
     alpha_for_gap_ratio,
@@ -93,6 +95,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if config.out is None:
         raise SystemExit("run requires --out (or an 'out' entry in the config file)")
+    if config.overlay and config.policy not in OVERLAY_BOUNDS:
+        raise SystemExit(f"run --overlay requires a policy in {tuple(OVERLAY_BOUNDS)}")
     _, env, _ = resolve(config)
     curve = monte_carlo_regret(config, env=env, n_jobs=args.jobs)
     overlays = None
@@ -191,7 +195,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     elif name == "catoni":
         value = catoni_estimate(data, args.sigma, args.scale)
     elif name == "mom":
-        blocks = args.blocks if args.blocks else min(data.size, max(1, math.ceil(8 * math.log(max(data.size, 2)))))
+        blocks = args.blocks or RobustUCBMOM.block_count(data.size, max(data.size, 2))
         value = median_of_means(data, blocks)
     elif name == "mean":
         value = float(np.mean(data))

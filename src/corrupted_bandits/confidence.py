@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .envs import check_eps
 from .estimators import floor_pow2
 
 __all__ = [
@@ -42,8 +43,7 @@ def corruption_proxy(eps: float) -> float:
     ``sqrt((1 - 2 eps) / ln((1 - eps) / eps))`` for ``eps > 0``; defined as 0
     at ``eps = 0``, where every corruption term it multiplies vanishes.
     """
-    if not 0.0 <= eps < 0.5:
-        raise ValueError("eps must lie in [0, 0.5)")
+    check_eps(eps)
     if eps == 0.0:
         return 0.0
     return math.sqrt((1.0 - 2.0 * eps) / math.log((1.0 - eps) / eps))
@@ -88,8 +88,7 @@ class HuberParams:
             raise ValueError("beta must be positive")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if not 0.0 <= self.eps < 0.5:
-            raise ValueError("eps must lie in [0, 0.5)")
+        check_eps(self.eps)
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
         if self.p <= 5.0 * self.eps:
@@ -150,23 +149,15 @@ def seq_concentration_radius(n: int, delta: float, cfg: HuberParams) -> float:
 
     The correction multiplies the radius at the last power-of-two anchor by
     ``1 / (p - sqrt(ln(1/delta)/(2n)) - eps) - 1``.  Validity additionally
-    requires ``delta`` to be admissible at the anchor size.
+    requires ``delta`` to be admissible at the anchor size.  Argument checks
+    and the ``inf`` cases are those of the two :func:`concentration_radius`
+    calls; the correction's denominator is the n-sample radius's own.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    anchor = floor_pow2(n)
-    if delta < min_valid_delta(anchor, cfg):
-        return INF
-    level = -math.log(delta)
-    inner = cfg.p - math.sqrt(level / (2.0 * n)) - cfg.eps
-    if inner <= 0.0:
-        return INF
     r_n = concentration_radius(n, delta, cfg)
-    r_anchor = concentration_radius(anchor, delta, cfg)
+    r_anchor = concentration_radius(floor_pow2(n), delta, cfg)
     if math.isinf(r_n) or math.isinf(r_anchor):
         return INF
+    inner = cfg.p - math.sqrt(-math.log(delta) / (2.0 * n)) - cfg.eps
     return r_n + (1.0 / inner - 1.0) * r_anchor
 
 

@@ -30,7 +30,14 @@ __all__ = [
     "BanditEnv",
     "make_env",
     "PRESETS",
+    "check_eps",
 ]
+
+
+def check_eps(eps: float, name: str = "eps") -> None:
+    """Reject a corruption rate outside ``[0, 0.5)``."""
+    if not 0.0 <= eps < 0.5:
+        raise ValueError(f"{name} must lie in [0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -203,8 +210,7 @@ class CorruptedArm:
     eps: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.eps < 0.5:
-            raise ValueError("eps must lie in [0, 0.5)")
+        check_eps(self.eps)
         # Inliers need two finite moments; raises if undefined.
         self.inlier.variance()
 

@@ -88,7 +88,6 @@ def _huber_root_sorted(
     beta: float,
     tol: float,
     guess: float | None = None,
-    max_iter: int = MAX_SOLVER_ITER,
 ) -> float:
     """Root of the influence equation on pre-sorted data with prefix sums."""
     lo = float(xs[0])
@@ -114,7 +113,7 @@ def _huber_root_sorted(
     sample_lo = float(xs[0])
     sample_hi = float(xs[-1])
     theta = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_SOLVER_ITER):
         g, m = _influence_sum_sorted(xs, prefix, beta, theta)
         if abs(g) <= tol:
             # Newton polish: on the piecewise-linear influence sum this lands
@@ -143,15 +142,11 @@ def _huber_root_sorted(
             theta = 0.5 * (lo + hi)
     raise HuberSolverError(
         f"influence-sum root not located to tolerance {tol:g} "
-        f"within {max_iter} iterations"
+        f"within {MAX_SOLVER_ITER} iterations"
     )
 
 
-def huber_estimate(
-    samples: Sequence[float] | np.ndarray,
-    beta: float,
-    tol: float | None = None,
-) -> float:
+def huber_estimate(samples: Sequence[float] | np.ndarray, beta: float) -> float:
     """Huber estimate of location with clipping threshold ``beta``.
 
     Parameters
@@ -161,15 +156,12 @@ def huber_estimate(
     beta : float > 0
         Clipping threshold.  Large ``beta`` recovers the empirical mean,
         small ``beta`` approaches the empirical median.
-    tol : float, optional
-        Tolerance on the influence sum at the returned root.  Defaults to
-        ``1e-9 * n * max(beta, 1)``.
 
     Returns
     -------
     float
-        ``theta`` with ``|sum(psi(x_i - theta))| <= tol``, guaranteed to lie
-        in ``[min(samples), max(samples)]``.
+        ``theta`` with ``|sum(psi(x_i - theta))| <= 1e-9 * n * max(beta, 1)``,
+        guaranteed to lie in ``[min(samples), max(samples)]``.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -179,12 +171,8 @@ def huber_estimate(
     if beta <= 0:
         raise ValueError("beta must be positive")
     xs = np.sort(x)
-    if xs[0] == xs[-1]:
-        return float(xs[0])
     prefix = np.concatenate(([0.0], np.cumsum(xs)))
-    if tol is None:
-        tol = default_root_tol(x.size, beta)
-    return _huber_root_sorted(xs, prefix, beta, tol)
+    return _huber_root_sorted(xs, prefix, beta, default_root_tol(x.size, beta))
 
 
 def catoni_estimate(
@@ -199,8 +187,6 @@ def catoni_estimate(
     fragile under corruption.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValueError("samples must be nonempty")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if scale <= 0:
@@ -308,8 +294,6 @@ class SequentialHuber:
     def value(self) -> float:
         if self.count == 0:
             return 0.0
-        if self.count == floor_pow2(self.count):
-            return self.anchor
-        if self.psi_prime_sum == 0.0:
+        if self.count == floor_pow2(self.count) or self.psi_prime_sum == 0.0:
             return self.anchor
         return self.anchor + self.psi_sum / self.psi_prime_sum

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import BanditEnv, make_env
+from .envs import BanditEnv, check_eps, make_env
 from .policies import PolicyBuild, make_policy
 from .theory import GapProfile, max_pulls_huber_ucb_simplified, max_pulls_seq_huber_ucb
 
@@ -36,6 +36,7 @@ __all__ = [
     "write_results",
     "read_results",
     "PRESET_DEFAULTS",
+    "OVERLAY_BOUNDS",
 ]
 
 # Reproduction defaults per preset: threshold multiplier, bias handling, and
@@ -48,6 +49,12 @@ PRESET_DEFAULTS = {
 }
 
 SWEEP_AXES = ("beta_mult", "eps_assumed", "eps_true")
+
+# Policy name -> the per-arm pull bound its regret overlay is built from.
+OVERLAY_BOUNDS = {
+    "huber_ucb": max_pulls_huber_ucb_simplified,
+    "seq_huber_ucb": max_pulls_seq_huber_ucb,
+}
 
 
 @dataclass
@@ -76,10 +83,9 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if not 0.0 <= self.eps_true < 0.5:
-            raise ValueError("eps_true must lie in [0, 0.5)")
-        if self.eps_assumed is not None and not 0.0 <= self.eps_assumed < 0.5:
-            raise ValueError("eps_assumed must lie in [0, 0.5)")
+        check_eps(self.eps_true, "eps_true")
+        if self.eps_assumed is not None:
+            check_eps(self.eps_assumed, "eps_assumed")
         if self.sweep_axis is not None and self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
 
@@ -179,9 +185,6 @@ class RegretCurve:
     @property
     def final(self) -> float:
         return float(self.mean[-1])
-
-    def value_at(self, t: int) -> float:
-        return float(self.mean[t - 1])
 
     def growth_ratio(self) -> float:
         """Final regret over the regret at half the horizon."""
@@ -284,14 +287,10 @@ def bound_overlay(config: ExperimentConfig, env: BanditEnv | None = None) -> np.
     analytic scales and the policy's configured parameters; ``inf`` where a
     shifted gap is nonpositive (bound inapplicable).
     """
-    if config.policy not in ("huber_ucb", "seq_huber_ucb"):
+    if config.policy not in OVERLAY_BOUNDS:
         raise ValueError("bound overlays exist only for the robust index policies")
     cfg, env, build = resolve(config, env)
-    bound_fn = (
-        max_pulls_huber_ucb_simplified
-        if cfg.policy == "huber_ucb"
-        else max_pulls_seq_huber_ucb
-    )
+    bound_fn = OVERLAY_BOUNDS[cfg.policy]
     steps = np.arange(1, cfg.horizon + 1)
     overlay = np.zeros(cfg.horizon)
     for i, arm_cfg in enumerate(build.arm_params):

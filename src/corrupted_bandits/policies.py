@@ -18,7 +18,7 @@ import numpy as np
 
 from . import confidence
 from .confidence import HuberParams, chebyshev_p
-from .envs import BanditEnv
+from .envs import BanditEnv, check_eps
 from .estimators import (
     SequentialHuber,
     _doubled,
@@ -65,15 +65,24 @@ class _ArmBuffer:
         self.count = n + 1
         np.cumsum(self._sorted[: self.count], out=self._prefix[1 : self.count + 1])
 
-    def huber_root(self, beta: float, guess: float | None = None) -> float:
-        tol = default_root_tol(self.count, beta)
-        return _huber_root_sorted(
-            self._sorted[: self.count], self._prefix[: self.count + 1], beta, tol, guess=guess
-        )
+    def huber_root(self, beta: float, guess: float) -> float:
+        n = self.count
+        tol = default_root_tol(n, beta)
+        return _huber_root_sorted(self._sorted[:n], self._prefix[: n + 1], beta, tol, guess)
+
+
+def _positive(sigmas: Sequence[float]) -> list[float]:
+    if any(s <= 0 for s in sigmas):
+        raise ValueError("sigmas must be positive")
+    return [float(s) for s in sigmas]
 
 
 class _BasePolicy:
-    """Counts, step bookkeeping, and argmax selection with random tie-breaking."""
+    """Counts, step bookkeeping, the index rule, and argmax selection with random tie-breaking.
+
+    Subclasses define ``update(arm, reward)``; index policies also define
+    ``_estimate(arm, t)`` and ``_bonus(arm, s, t)``, which :meth:`arm_index` combines.
+    """
 
     def __init__(self, k: int):
         if k < 1:
@@ -83,7 +92,14 @@ class _BasePolicy:
         self.counts = np.zeros(k, dtype=np.int64)
 
     def arm_index(self, arm: int, t: int) -> float:
-        raise NotImplementedError
+        """``inf`` for an unpulled arm or an infinite bonus, else estimate plus bonus."""
+        s = int(self.counts[arm])
+        if s == 0:
+            return INF
+        bonus = self._bonus(arm, s, t)
+        if math.isinf(bonus):
+            return INF
+        return self._estimate(arm, t) + bonus
 
     def indices(self) -> np.ndarray:
         t = self.t + 1
@@ -111,21 +127,12 @@ class _BasePolicy:
         self.counts[arm] += 1
         self.t += 1
 
-    def update(self, arm: int, reward: float) -> None:
-        raise NotImplementedError
 
+class _BatchHuber(_BasePolicy):
+    """Batch Huber estimates, re-solved on every update at the threshold ``_beta(arm, n)``."""
 
-class HuberUCB(_BasePolicy):
-    """Index policy on batch Huber estimates with corruption-aware bonuses.
-
-    Each arm's parameters (``beta``, ``sigma``, ``eps``, ``p``, ``bias``)
-    are fixed at construction.  The pulled arm's estimate is recomputed from
-    its full buffer on every update; other arms keep their cached estimates.
-    """
-
-    def __init__(self, arm_params: Sequence[HuberParams], horizon: int | None = None):
-        super().__init__(len(arm_params))
-        self.params = list(arm_params)
+    def __init__(self, k: int, horizon: int | None):
+        super().__init__(k)
         cap = horizon if horizon else 64
         self.buffers = [_ArmBuffer(cap) for _ in range(self.k)]
         self.estimates = np.zeros(self.k)
@@ -134,15 +141,29 @@ class HuberUCB(_BasePolicy):
         self._record(arm)
         buf = self.buffers[arm]
         buf.append(reward)
-        guess = self.estimates[arm] if buf.count > 1 else None
-        self.estimates[arm] = buf.huber_root(self.params[arm].beta, guess=guess)
+        self.estimates[arm] = buf.huber_root(self._beta(arm, buf.count), self.estimates[arm])
 
-    def arm_index(self, arm: int, t: int) -> float:
-        s = int(self.counts[arm])
-        bonus = confidence.huber_bonus(s, t, self.params[arm])
-        if math.isinf(bonus):
-            return INF
-        return self.estimates[arm] + bonus
+    def _estimate(self, arm: int, t: int) -> float:
+        return self.estimates[arm]
+
+
+class HuberUCB(_BatchHuber):
+    """Index policy on batch Huber estimates with corruption-aware bonuses.
+
+    Each arm's parameters (``beta``, ``sigma``, ``eps``, ``p``, ``bias``)
+    are fixed at construction.  The pulled arm's estimate is recomputed from
+    its full buffer on every update; other arms keep their cached estimates.
+    """
+
+    def __init__(self, arm_params: Sequence[HuberParams], horizon: int | None = None):
+        super().__init__(len(arm_params), horizon)
+        self.params = list(arm_params)
+
+    def _beta(self, arm: int, n: int) -> float:
+        return self.params[arm].beta
+
+    def _bonus(self, arm: int, s: int, t: int) -> float:
+        return confidence.huber_bonus(s, t, self.params[arm])
 
 
 class SeqHuberUCB(_BasePolicy):
@@ -160,12 +181,11 @@ class SeqHuberUCB(_BasePolicy):
         self._record(arm)
         self.estimators[arm].update(reward)
 
-    def arm_index(self, arm: int, t: int) -> float:
-        s = int(self.counts[arm])
-        bonus = confidence.seq_huber_bonus(s, t, self.params[arm])
-        if math.isinf(bonus):
-            return INF
-        return self.estimators[arm].value + bonus
+    def _estimate(self, arm: int, t: int) -> float:
+        return self.estimators[arm].value
+
+    def _bonus(self, arm: int, s: int, t: int) -> float:
+        return confidence.seq_huber_bonus(s, t, self.params[arm])
 
 
 class UCB1(_BasePolicy):
@@ -179,14 +199,14 @@ class UCB1(_BasePolicy):
         self._record(arm)
         self.sums[arm] += reward
 
-    def arm_index(self, arm: int, t: int) -> float:
-        s = int(self.counts[arm])
-        if s == 0:
-            return INF
-        return self.sums[arm] / s + math.sqrt(2.0 * math.log(t) / s)
+    def _estimate(self, arm: int, t: int) -> float:
+        return self.sums[arm] / int(self.counts[arm])
+
+    def _bonus(self, arm: int, s: int, t: int) -> float:
+        return math.sqrt(2.0 * math.log(t) / s)
 
 
-class RobustUCBCatoni(_BasePolicy):
+class RobustUCBCatoni(_BatchHuber):
     """Heavy-tail-tuned baseline: clipping threshold grows like sigma * sqrt(s).
 
     Efficient without corruption, fragile with it: the growing threshold ends
@@ -195,29 +215,14 @@ class RobustUCBCatoni(_BasePolicy):
     """
 
     def __init__(self, sigmas: Sequence[float], horizon: int | None = None):
-        super().__init__(len(sigmas))
-        if any(s <= 0 for s in sigmas):
-            raise ValueError("sigmas must be positive")
-        self.sigmas = [float(s) for s in sigmas]
-        cap = horizon if horizon else 64
-        self.buffers = [_ArmBuffer(cap) for _ in range(self.k)]
-        self.estimates = np.zeros(self.k)
+        super().__init__(len(sigmas), horizon)
+        self.sigmas = _positive(sigmas)
 
-    def update(self, arm: int, reward: float) -> None:
-        self._record(arm)
-        buf = self.buffers[arm]
-        buf.append(reward)
-        beta = self.sigmas[arm] * math.sqrt(buf.count)
-        guess = self.estimates[arm] if buf.count > 1 else None
-        self.estimates[arm] = buf.huber_root(beta, guess=guess)
+    def _beta(self, arm: int, n: int) -> float:
+        return self.sigmas[arm] * math.sqrt(n)
 
-    def arm_index(self, arm: int, t: int) -> float:
-        s = int(self.counts[arm])
-        if s == 0:
-            return INF
-        return self.estimates[arm] + self.sigmas[arm] * math.sqrt(
-            8.0 * math.log(t) / s
-        )
+    def _bonus(self, arm: int, s: int, t: int) -> float:
+        return self.sigmas[arm] * math.sqrt(8.0 * math.log(t) / s)
 
 
 class RobustUCBMOM(_BasePolicy):
@@ -225,9 +230,7 @@ class RobustUCBMOM(_BasePolicy):
 
     def __init__(self, sigmas: Sequence[float], horizon: int | None = None):
         super().__init__(len(sigmas))
-        if any(s <= 0 for s in sigmas):
-            raise ValueError("sigmas must be positive")
-        self.sigmas = [float(s) for s in sigmas]
+        self.sigmas = _positive(sigmas)
         cap = horizon if horizon else 64
         # Chronological rewards per arm: block means depend on arrival order.
         self.rewards = [np.empty(cap, dtype=float) for _ in range(self.k)]
@@ -254,13 +257,8 @@ class RobustUCBMOM(_BasePolicy):
         self._cache[arm] = (s, blocks, value)
         return value
 
-    def arm_index(self, arm: int, t: int) -> float:
-        s = int(self.counts[arm])
-        if s == 0:
-            return INF
-        return self._estimate(arm, t) + 12.0 * self.sigmas[arm] * math.sqrt(
-            math.log(t) / s
-        )
+    def _bonus(self, arm: int, s: int, t: int) -> float:
+        return 12.0 * self.sigmas[arm] * math.sqrt(math.log(t) / s)
 
 
 class Exp3(_BasePolicy):
@@ -301,14 +299,17 @@ class Exp3(_BasePolicy):
         self.log_weights[arm] += self.eta * gain / probs[arm]
 
 
-POLICY_NAMES = (
-    "huber_ucb",
-    "seq_huber_ucb",
-    "ucb1",
-    "robust_ucb_catoni",
-    "robust_ucb_mom",
-    "exp3",
-)
+# Policy name -> constructor from a build recipe; the order is POLICY_NAMES.
+_CONSTRUCTORS = {
+    "huber_ucb": lambda b: HuberUCB(b.arm_params, horizon=b.horizon),
+    "seq_huber_ucb": lambda b: SeqHuberUCB(b.arm_params, horizon=b.horizon),
+    "ucb1": lambda b: UCB1(b.k),
+    "robust_ucb_catoni": lambda b: RobustUCBCatoni(b.sigmas, horizon=b.horizon),
+    "robust_ucb_mom": lambda b: RobustUCBMOM(b.sigmas, horizon=b.horizon),
+    "exp3": lambda b: Exp3(b.k, b.horizon, clip=b.exp3_clip),
+}
+
+POLICY_NAMES = tuple(_CONSTRUCTORS)
 
 SIGMA_FLOOR = 1e-12
 
@@ -333,8 +334,7 @@ def resolve_p(
     midpoint of ``(5 eps, 1)`` is used instead.  In every mode the result must
     exceed ``5 eps`` or the configuration is rejected.
     """
-    if not 0.0 <= eps < 0.5:
-        raise ValueError("eps must lie in [0, 0.5)")
+    check_eps(eps)
     if mode == "explicit":
         if value is None:
             raise ValueError("explicit p mode requires a value")
@@ -398,19 +398,9 @@ class PolicyBuild:
     exp3_clip: tuple[float, float] = (-10.0, 10.0)
 
     def build(self):
-        if self.name == "huber_ucb":
-            return HuberUCB(self.arm_params, horizon=self.horizon)
-        if self.name == "seq_huber_ucb":
-            return SeqHuberUCB(self.arm_params, horizon=self.horizon)
-        if self.name == "ucb1":
-            return UCB1(self.k)
-        if self.name == "robust_ucb_catoni":
-            return RobustUCBCatoni(self.sigmas, horizon=self.horizon)
-        if self.name == "robust_ucb_mom":
-            return RobustUCBMOM(self.sigmas, horizon=self.horizon)
-        if self.name == "exp3":
-            return Exp3(self.k, self.horizon, clip=self.exp3_clip)
-        raise ValueError(f"unknown policy {self.name!r}; choose from {POLICY_NAMES}")
+        if self.name not in _CONSTRUCTORS:
+            raise ValueError(f"unknown policy {self.name!r}; choose from {POLICY_NAMES}")
+        return _CONSTRUCTORS[self.name](self)
 
 
 def make_policy(
@@ -428,7 +418,6 @@ def make_policy(
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
     arm_params: tuple[HuberParams, ...] = ()
-    sigmas: tuple[float, ...] = ()
     if name in ("huber_ucb", "seq_huber_ucb"):
         arm_params = tuple(
             build_huber_params(
@@ -440,13 +429,11 @@ def make_policy(
                 p_value=p_value,
             )
         )
-    elif name in ("robust_ucb_catoni", "robust_ucb_mom"):
-        sigmas = tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas)
     return PolicyBuild(
         name=name,
         k=env.k,
         horizon=horizon,
         arm_params=arm_params,
-        sigmas=sigmas,
+        sigmas=tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas),
         exp3_clip=exp3_clip,
     )

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .confidence import HuberParams, _PROXY_FLOOR
+from .envs import check_eps
 
 __all__ = [
     "GapProfile",
@@ -47,21 +48,16 @@ class GapProfile:
             raise ValueError("delta must be nonnegative")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if not 0.0 <= self.eps < 0.5:
-            raise ValueError("eps must lie in [0, 0.5)")
+        check_eps(self.eps)
 
     @property
     def corrupted_gap(self) -> float:
         """Effective distinguishability gap under corruption: delta (1 - eps) - 2 eps sigma."""
         return self.delta * (1.0 - self.eps) - 2.0 * self.eps * self.sigma
 
-    def shifted_gap(self, p: float, beta: float, bias: float = 0.0, beta_coeff: float = 8.0) -> float:
-        """Upper-bound analogue ``(delta - 2 bias)(p - eps) - coeff * beta * eps``.
-
-        The coefficient multiplying ``beta * eps`` differs between statements;
-        callers pass the one their formula prints.
-        """
-        return (self.delta - 2.0 * bias) * (p - self.eps) - beta_coeff * beta * self.eps
+    def shifted_gap(self, p: float, beta: float, bias: float = 0.0) -> float:
+        """Upper-bound analogue ``(delta - 2 bias)(p - eps) - 8 beta eps``."""
+        return (self.delta - 2.0 * bias) * (p - self.eps) - 8.0 * beta * self.eps
 
 
 def student_kl_bound(df: float, gap: float) -> float:
@@ -83,8 +79,7 @@ def student_kl_bound(df: float, gap: float) -> float:
 def _check_alpha_eps(alpha: float, eps: float) -> None:
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 0.5)")
-    if not 0.0 <= eps < 0.5:
-        raise ValueError("eps must lie in [0, 0.5)")
+    check_eps(eps)
 
 
 @dataclass(frozen=True)
@@ -256,7 +251,7 @@ def max_pulls_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    shifted = gap.shifted_gap(cfg.p, cfg.beta, cfg.bias, beta_coeff=8.0)
+    shifted = gap.shifted_gap(cfg.p, cfg.beta, cfg.bias)
     if shifted <= 0:
         raise ValueError("shifted gap must be positive; bound inapplicable")
     sigma, beta = cfg.sigma, cfg.beta
@@ -270,12 +265,11 @@ def max_pulls_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:
     return log_n * max(lead, _second_entry(cfg)) + 10.0 * (log_n + 1.0)
 
 
-def max_pulls_huber_ucb_simplified(n: int, gap: GapProfile, cfg: HuberParams) -> float:
-    """Looser explicit-constant form for symmetric inliers with beta = 4 sigma.
+def _max_pulls_explicit(n, gap: GapProfile, cfg: HuberParams, spread, large, small, tail) -> float:
+    """Pull bound on the shifted gap ``delta (p - eps) - 32 sigma eps``, with printed constants.
 
-    Uses its own shifted gap ``delta (p - eps) - 32 sigma eps``.  Valid (as a
-    dominating value) while the corruption proxy stays at or below
-    ``4 / (5 sqrt(ln 9))``; see the dominance tests.
+    Branch threshold ``spread * sigma (1 + 4 sqrt(2) proxy)^2``; ``large`` and
+    ``small`` are each branch's (coefficient, floor); ``tail`` multiplies ``ln n + 1``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -284,12 +278,25 @@ def max_pulls_huber_ucb_simplified(n: int, gap: GapProfile, cfg: HuberParams) ->
     if shifted <= 0:
         raise ValueError("shifted gap must be positive; bound inapplicable")
     proxy = cfg.eps_proxy
-    threshold = 6.0 * sigma * (1.0 + 4.0 * math.sqrt(2.0) * proxy) ** 2
+    threshold = spread * sigma * (1.0 + 4.0 * math.sqrt(2.0) * proxy) ** 2
     log_n = math.log(n)
     if shifted > threshold:
-        return 43.0 * log_n * max(sigma / shifted, 10.0) + 10.0 * (log_n + 1.0)
-    ratio = sigma * sigma / (shifted * shifted)
-    return 23.0 * log_n * max(ratio * (1.0 + 32.0 * proxy * proxy), 18.0) + 10.0 * (log_n + 1.0)
+        coeff, floor = large
+        lead = max(sigma / shifted, floor)
+    else:
+        coeff, floor = small
+        lead = max(sigma * sigma / (shifted * shifted) * (1.0 + 32.0 * proxy * proxy), floor)
+    return coeff * log_n * lead + tail * (log_n + 1.0)
+
+
+def max_pulls_huber_ucb_simplified(n: int, gap: GapProfile, cfg: HuberParams) -> float:
+    """Looser explicit-constant form for symmetric inliers with beta = 4 sigma.
+
+    Uses its own shifted gap ``delta (p - eps) - 32 sigma eps``.  Valid (as a
+    dominating value) while the corruption proxy stays at or below
+    ``4 / (5 sqrt(ln 9))``; see the dominance tests.
+    """
+    return _max_pulls_explicit(n, gap, cfg, 6.0, (43.0, 10.0), (23.0, 18.0), 10.0)
 
 
 def max_pulls_seq_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:
@@ -298,19 +305,7 @@ def max_pulls_seq_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:
     Shifted gap ``delta (p - eps) - 32 sigma eps``; branch threshold
     ``18 sigma (1 + 4 sqrt(2) proxy)^2``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sigma = cfg.sigma
-    shifted = gap.delta * (cfg.p - cfg.eps) - 32.0 * sigma * cfg.eps
-    if shifted <= 0:
-        raise ValueError("shifted gap must be positive; bound inapplicable")
-    proxy = cfg.eps_proxy
-    threshold = 18.0 * sigma * (1.0 + 4.0 * math.sqrt(2.0) * proxy) ** 2
-    log_n = math.log(n)
-    if shifted > threshold:
-        return 128.0 * log_n * max(sigma / shifted, 2.0) + 28.0 * (log_n + 1.0)
-    ratio = sigma * sigma / (shifted * shifted)
-    return 80.0 * log_n * max(ratio * (1.0 + 32.0 * proxy * proxy), 3.0) + 28.0 * (log_n + 1.0)
+    return _max_pulls_explicit(n, gap, cfg, 18.0, (128.0, 2.0), (80.0, 3.0), 28.0)
 
 
 def regret_decomposition(gaps: Sequence[float], pulls: Sequence[float]) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrupted_bandits.cli import main
-from corrupted_bandits.estimators import huber_estimate, mad_scale
+from corrupted_bandits.estimators import huber_estimate, mad_scale, median_of_means
 from corrupted_bandits.harness import read_results
 
 
@@ -79,6 +79,15 @@ class TestRun:
         assert rc == 0
         assert out.read_text().splitlines()[0].endswith("bound_overlay")
 
+    def test_overlay_without_bound_exits_before_running(self, tmp_path):
+        out = tmp_path / "res.csv"
+        argv = ["run", "--policy", "ucb1", "--horizon", "50", "--reps", "1",
+                "--overlay", "--out", str(out)]
+        with pytest.raises(SystemExit, match="--overlay"):
+            main(argv)
+        assert not out.exists()
+        assert not out.with_suffix(".meta.json").exists()
+
 
 class TestSweep:
     def test_sweep_emits_one_curve_per_value(self, tmp_path, capsys):
@@ -137,6 +146,13 @@ class TestEstimate:
         rc = main(["estimate", str(path), "--estimator", "mad"])
         assert rc == 0
         assert float(capsys.readouterr().out.strip()) == mad_scale(values)
+
+    def test_mom_default_blocks(self, data_file, capsys):
+        # 200 samples: ceil(8 ln 200) = 43 blocks
+        path, values = data_file
+        rc = main(["estimate", str(path), "--estimator", "mom"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == format(median_of_means(values, 43), ".17g")
 
     @pytest.mark.parametrize("estimator", ["seqhub", "catoni", "mom", "mean", "median"])
     def test_other_estimators_smoke(self, data_file, capsys, estimator):

@@ -278,6 +278,17 @@ class TestSeqRadius:
         if min_valid_delta(n, c) < delta < min_valid_delta(anchor, c):
             assert seq_concentration_radius(n, delta, c) == INF
 
+    @pytest.mark.parametrize("n, delta", [(0, 0.1), (10, 0.0), (10, 1.5)])
+    def test_invalid_arguments_raise(self, n, delta):
+        with pytest.raises(ValueError):
+            seq_concentration_radius(n, delta, cfg())
+
+    def test_nonpositive_denominator_is_inf(self):
+        c = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
+        # delta is admissible (floor about 0.23) but p - sqrt(ln(1/delta) / 2) <= 0
+        assert min_valid_delta(1, c) < 0.3
+        assert seq_concentration_radius(1, 0.3, c) == INF
+
 
 class TestCoverageSmoke:
     """Small-scale deviation coverage; the full-size version is in acceptance."""
