@@ -68,6 +68,14 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1)
 
 
+def _checked(fn, *args):
+    """``fn(*args)``, with a rejected config ending in a one-line exit, not a traceback."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"invalid config: {exc}") from None
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
@@ -88,7 +96,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             data[key] = value
     if args.out is not None:
         data["out"] = str(args.out)
-    return ExperimentConfig.from_dict(data)
+    return _checked(ExperimentConfig.from_dict, data)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -97,7 +105,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("run requires --out (or an 'out' entry in the config file)")
     if config.overlay and config.policy not in OVERLAY_BOUNDS:
         raise SystemExit(f"run --overlay requires a policy in {tuple(OVERLAY_BOUNDS)}")
-    _, env, _ = resolve(config)
+    _, env, _ = _checked(resolve, config)
     curve = monte_carlo_regret(config, env=env, n_jobs=args.jobs)
     overlays = None
     if config.overlay:
@@ -113,6 +121,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config.sweep_values = [float(v) for v in args.values.split(",")]
     if config.out is None:
         raise SystemExit("sweep requires --out")
+    if config.overlay:
+        raise SystemExit("sweep writes no bound overlay; use run --overlay for one point")
     curves = sweep(config, n_jobs=args.jobs)
     write_results([c for _, c in curves], config.out, config=config)
     for value, curve in curves:
@@ -196,6 +206,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         value = catoni_estimate(data, args.sigma, args.scale)
     elif name == "mom":
         blocks = args.blocks or RobustUCBMOM.block_count(data.size, max(data.size, 2))
+        if not 1 <= blocks <= data.size:
+            raise SystemExit(f"--blocks must be in [1, {data.size}], or 0 for the default")
         value = median_of_means(data, blocks)
     elif name == "mean":
         value = float(np.mean(data))

@@ -46,15 +46,21 @@ TIE_TOL = 1e-12
 
 
 class _ArmBuffer:
-    """One arm's rewards in sorted order plus their prefix sums, for Huber roots."""
+    """One arm's batch Huber estimate over its sorted rewards, re-solved on every update.
 
-    def __init__(self, capacity: int = 64):
-        cap = max(capacity, 1)
-        self._sorted = np.empty(cap, dtype=float)
-        self._prefix = np.zeros(cap + 1, dtype=float)
+    The threshold is ``beta``, or ``beta * sqrt(n)`` with ``grow`` (Catoni); each
+    root is warm-started at the previous ``value``, which is 0 before any update.
+    """
+
+    def __init__(self, beta: float, grow: bool = False):
+        self.beta = float(beta)
+        self.grow = grow
+        self._sorted = np.empty(64, dtype=float)
+        self._prefix = np.zeros(65, dtype=float)
         self.count = 0
+        self.value = 0.0
 
-    def append(self, x: float) -> None:
+    def update(self, x: float) -> None:
         n = self.count
         if n == self._sorted.size:
             self._sorted = _doubled(self._sorted, n)
@@ -64,6 +70,8 @@ class _ArmBuffer:
         self._sorted[pos] = x
         self.count = n + 1
         np.cumsum(self._sorted[: self.count], out=self._prefix[1 : self.count + 1])
+        beta = self.beta * math.sqrt(self.count) if self.grow else self.beta
+        self.value = self.huber_root(beta, self.value)
 
     def huber_root(self, beta: float, guess: float) -> float:
         n = self.count
@@ -80,8 +88,10 @@ def _positive(sigmas: Sequence[float]) -> list[float]:
 class _BasePolicy:
     """Counts, step bookkeeping, the index rule, and argmax selection with random tie-breaking.
 
-    Subclasses define ``update(arm, reward)``; index policies also define
-    ``_estimate(arm, t)`` and ``_bonus(arm, s, t)``, which :meth:`arm_index` combines.
+    An index policy holds one estimator per arm in ``estimators`` (each with
+    ``update(x)`` and ``value``) and defines ``_bonus(arm, s, t)``, which
+    :meth:`arm_index` adds to the estimate.  Policies with other per-arm state
+    define their own ``update(arm, reward)`` and ``_estimate(arm, t)``.
     """
 
     def __init__(self, k: int):
@@ -127,27 +137,15 @@ class _BasePolicy:
         self.counts[arm] += 1
         self.t += 1
 
-
-class _BatchHuber(_BasePolicy):
-    """Batch Huber estimates, re-solved on every update at the threshold ``_beta(arm, n)``."""
-
-    def __init__(self, k: int, horizon: int | None):
-        super().__init__(k)
-        cap = horizon if horizon else 64
-        self.buffers = [_ArmBuffer(cap) for _ in range(self.k)]
-        self.estimates = np.zeros(self.k)
-
     def update(self, arm: int, reward: float) -> None:
         self._record(arm)
-        buf = self.buffers[arm]
-        buf.append(reward)
-        self.estimates[arm] = buf.huber_root(self._beta(arm, buf.count), self.estimates[arm])
+        self.estimators[arm].update(reward)
 
     def _estimate(self, arm: int, t: int) -> float:
-        return self.estimates[arm]
+        return self.estimators[arm].value
 
 
-class HuberUCB(_BatchHuber):
+class HuberUCB(_BasePolicy):
     """Index policy on batch Huber estimates with corruption-aware bonuses.
 
     Each arm's parameters (``beta``, ``sigma``, ``eps``, ``p``, ``bias``)
@@ -155,12 +153,10 @@ class HuberUCB(_BatchHuber):
     its full buffer on every update; other arms keep their cached estimates.
     """
 
-    def __init__(self, arm_params: Sequence[HuberParams], horizon: int | None = None):
-        super().__init__(len(arm_params), horizon)
+    def __init__(self, arm_params: Sequence[HuberParams]):
+        super().__init__(len(arm_params))
         self.params = list(arm_params)
-
-    def _beta(self, arm: int, n: int) -> float:
-        return self.params[arm].beta
+        self.estimators = [_ArmBuffer(p.beta) for p in self.params]
 
     def _bonus(self, arm: int, s: int, t: int) -> float:
         return confidence.huber_bonus(s, t, self.params[arm])
@@ -169,20 +165,10 @@ class HuberUCB(_BatchHuber):
 class SeqHuberUCB(_BasePolicy):
     """Index policy on streaming Huber estimates with staleness-widened bonuses."""
 
-    def __init__(self, arm_params: Sequence[HuberParams], horizon: int | None = None):
+    def __init__(self, arm_params: Sequence[HuberParams]):
         super().__init__(len(arm_params))
         self.params = list(arm_params)
-        cap = horizon if horizon else 64
-        self.estimators = [
-            SequentialHuber(p.beta, capacity=cap) for p in self.params
-        ]
-
-    def update(self, arm: int, reward: float) -> None:
-        self._record(arm)
-        self.estimators[arm].update(reward)
-
-    def _estimate(self, arm: int, t: int) -> float:
-        return self.estimators[arm].value
+        self.estimators = [SequentialHuber(p.beta) for p in self.params]
 
     def _bonus(self, arm: int, s: int, t: int) -> float:
         return confidence.seq_huber_bonus(s, t, self.params[arm])
@@ -206,7 +192,7 @@ class UCB1(_BasePolicy):
         return math.sqrt(2.0 * math.log(t) / s)
 
 
-class RobustUCBCatoni(_BatchHuber):
+class RobustUCBCatoni(_BasePolicy):
     """Heavy-tail-tuned baseline: clipping threshold grows like sigma * sqrt(s).
 
     Efficient without corruption, fragile with it: the growing threshold ends
@@ -214,12 +200,10 @@ class RobustUCBCatoni(_BatchHuber):
     ``sigma * sqrt(8 ln t / s)``.
     """
 
-    def __init__(self, sigmas: Sequence[float], horizon: int | None = None):
-        super().__init__(len(sigmas), horizon)
+    def __init__(self, sigmas: Sequence[float]):
+        super().__init__(len(sigmas))
         self.sigmas = _positive(sigmas)
-
-    def _beta(self, arm: int, n: int) -> float:
-        return self.sigmas[arm] * math.sqrt(n)
+        self.estimators = [_ArmBuffer(s, grow=True) for s in self.sigmas]
 
     def _bonus(self, arm: int, s: int, t: int) -> float:
         return self.sigmas[arm] * math.sqrt(8.0 * math.log(t) / s)
@@ -228,12 +212,11 @@ class RobustUCBCatoni(_BatchHuber):
 class RobustUCBMOM(_BasePolicy):
     """Median-of-means baseline: ceil(8 ln t) blocks (capped at s), bonus 12 sigma sqrt(ln t / s)."""
 
-    def __init__(self, sigmas: Sequence[float], horizon: int | None = None):
+    def __init__(self, sigmas: Sequence[float]):
         super().__init__(len(sigmas))
         self.sigmas = _positive(sigmas)
-        cap = horizon if horizon else 64
         # Chronological rewards per arm: block means depend on arrival order.
-        self.rewards = [np.empty(cap, dtype=float) for _ in range(self.k)]
+        self.rewards = [np.empty(64, dtype=float) for _ in range(self.k)]
         self._cache: list[tuple[int, int, float]] = [(-1, -1, 0.0)] * self.k
 
     @staticmethod
@@ -301,11 +284,11 @@ class Exp3(_BasePolicy):
 
 # Policy name -> constructor from a build recipe; the order is POLICY_NAMES.
 _CONSTRUCTORS = {
-    "huber_ucb": lambda b: HuberUCB(b.arm_params, horizon=b.horizon),
-    "seq_huber_ucb": lambda b: SeqHuberUCB(b.arm_params, horizon=b.horizon),
+    "huber_ucb": lambda b: HuberUCB(b.arm_params),
+    "seq_huber_ucb": lambda b: SeqHuberUCB(b.arm_params),
     "ucb1": lambda b: UCB1(b.k),
-    "robust_ucb_catoni": lambda b: RobustUCBCatoni(b.sigmas, horizon=b.horizon),
-    "robust_ucb_mom": lambda b: RobustUCBMOM(b.sigmas, horizon=b.horizon),
+    "robust_ucb_catoni": lambda b: RobustUCBCatoni(b.sigmas),
+    "robust_ucb_mom": lambda b: RobustUCBMOM(b.sigmas),
     "exp3": lambda b: Exp3(b.k, b.horizon, clip=b.exp3_clip),
 }
 

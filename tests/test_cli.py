@@ -88,6 +88,21 @@ class TestRun:
         assert not out.exists()
         assert not out.with_suffix(".meta.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--config", "{config}"], ["--horizon", "0"], ["--policy", "nosuch"]],
+        ids=["unknown-config-key", "zero-horizon", "unknown-policy"],
+    )
+    def test_invalid_config_exits_before_running(self, tmp_path, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"horizn": 30}))
+        out = tmp_path / "res.csv"
+        argv = ["run", *(f.format(config=cfg_path) for f in flags), "--reps", "1",
+                "--out", str(out)]
+        with pytest.raises(SystemExit, match="invalid config"):
+            main(argv)
+        assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_emits_one_curve_per_value(self, tmp_path, capsys):
@@ -109,6 +124,14 @@ class TestSweep:
         parsed = read_results(out)
         assert len(parsed) == 2
         assert capsys.readouterr().out.count("final regret") == 2
+
+    def test_overlay_exits_before_running(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--policy", "huber_ucb", "--horizon", "30", "--reps", "1",
+                "--overlay", "--axis", "beta_mult", "--values", "1,2", "--out", str(out)]
+        with pytest.raises(SystemExit, match="overlay"):
+            main(argv)
+        assert not out.exists()
 
 
 class TestBounds:
@@ -153,6 +176,13 @@ class TestEstimate:
         rc = main(["estimate", str(path), "--estimator", "mom"])
         assert rc == 0
         assert capsys.readouterr().out.strip() == format(median_of_means(values, 43), ".17g")
+
+    @pytest.mark.parametrize("blocks", ["5", "-1"])
+    def test_mom_blocks_out_of_range_exits(self, tmp_path, blocks):
+        path = tmp_path / "three.txt"
+        path.write_text("1.0\n2.0\n3.0\n")
+        with pytest.raises(SystemExit, match="--blocks"):
+            main(["estimate", str(path), "--estimator", "mom", "--blocks", blocks])
 
     @pytest.mark.parametrize("estimator", ["seqhub", "catoni", "mom", "mean", "median"])
     def test_other_estimators_smoke(self, data_file, capsys, estimator):

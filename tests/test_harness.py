@@ -67,7 +67,7 @@ class TestRunEpisode:
         env = dirac_env()
         p = resolve_p("chebyshev", None, 0.05, 0.2, 0.0)
         arm = HuberParams(beta=0.2, sigma=0.05, eps=0.0, p=p, bias=0.0)
-        policy = HuberUCB([arm, arm], horizon=400)
+        policy = HuberUCB([arm, arm])
         rng = np.random.Generator(np.random.Philox([3, 0]))
         finite_steps = 0
         for step in range(400):
