@@ -37,6 +37,7 @@ from .harness import (
     monte_carlo_regret,
     resolve,
     sweep,
+    sweep_points,
     write_results,
 )
 from .policies import RobustUCBMOM
@@ -118,11 +119,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     config.sweep_axis = args.axis
-    config.sweep_values = [float(v) for v in args.values.split(",")]
+    try:
+        config.sweep_values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise SystemExit(f"--values must be comma-separated numbers, got {args.values!r}") from None
     if config.out is None:
         raise SystemExit("sweep requires --out")
     if config.overlay:
         raise SystemExit("sweep writes no bound overlay; use run --overlay for one point")
+    for _, point in _checked(sweep_points, config):
+        _checked(resolve, point)
     curves = sweep(config, n_jobs=args.jobs)
     write_results([c for _, c in curves], config.out, config=config)
     for value, curve in curves:

@@ -75,11 +75,15 @@ def _influence_sum_sorted(xs: np.ndarray, prefix: np.ndarray, beta: float, theta
     ``[theta - beta, theta + beta]``; both endpoints are inside the window
     (closed-interval convention).
     """
-    n = xs.size
-    i = int(np.searchsorted(xs, theta - beta, side="left"))
-    j = int(np.searchsorted(xs, theta + beta, side="right"))
-    inner = float(prefix[j] - prefix[i]) - (j - i) * theta
-    return inner + beta * ((n - j) - i), j - i
+    i = xs.searchsorted(theta - beta, "left").item()
+    j = xs.searchsorted(theta + beta, "right").item()
+    return _window_sum(prefix, xs.size, beta, theta, i, j), j - i
+
+
+def _window_sum(prefix: np.ndarray, n: int, beta: float, theta: float, i: int, j: int) -> float:
+    """Influence sum at ``theta`` given its unclipped window ``xs[i:j]``."""
+    inner = (prefix.item(j) - prefix.item(i)) - (j - i) * theta
+    return inner + beta * ((n - j) - i)
 
 
 def _huber_root_sorted(
@@ -90,8 +94,9 @@ def _huber_root_sorted(
     guess: float | None = None,
 ) -> float:
     """Root of the influence equation on pre-sorted data with prefix sums."""
-    lo = float(xs[0])
-    hi = float(xs[-1])
+    n = xs.size
+    sample_lo = lo = xs.item(0)
+    sample_hi = hi = xs.item(n - 1)
     if lo == hi:
         return lo
 
@@ -101,8 +106,10 @@ def _huber_root_sorted(
         for _ in range(40):
             a = max(lo, guess - width)
             b = min(hi, guess + width)
-            ga, _ = _influence_sum_sorted(xs, prefix, beta, a)
-            gb, _ = _influence_sum_sorted(xs, prefix, beta, b)
+            ia, ib = xs.searchsorted((a - beta, b - beta), "left").tolist()
+            ja, jb = xs.searchsorted((a + beta, b + beta), "right").tolist()
+            ga = _window_sum(prefix, n, beta, a, ia, ja)
+            gb = _window_sum(prefix, n, beta, b, ib, jb)
             if ga >= 0.0 >= gb:
                 lo, hi = a, b
                 break
@@ -110,8 +117,6 @@ def _huber_root_sorted(
             if a == lo and b == hi:
                 break
 
-    sample_lo = float(xs[0])
-    sample_hi = float(xs[-1])
     theta = 0.5 * (lo + hi)
     for _ in range(MAX_SOLVER_ITER):
         g, m = _influence_sum_sorted(xs, prefix, beta, theta)
@@ -210,10 +215,20 @@ def median_of_means(samples: Sequence[float] | np.ndarray, blocks: int) -> float
     base, rem = divmod(x.size, blocks)
     sizes = np.full(blocks, base)
     sizes[:rem] += 1
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    prefix = np.concatenate(([0.0], np.cumsum(x)))
-    means = np.diff(prefix[bounds]) / sizes
-    return float(np.median(means))
+    bounds = np.zeros(blocks + 1, dtype=sizes.dtype)
+    sizes.cumsum(out=bounds[1:])
+    prefix = np.zeros(x.size + 1)
+    x.cumsum(out=prefix[1:])
+    ends = prefix[bounds]
+    means = (ends[1:] - ends[:-1]) / sizes
+    means.sort()
+    if math.isnan(means.item(blocks - 1)):
+        # the sort puts nan last; np.median returns nan as well
+        return math.nan
+    half = blocks // 2
+    if blocks % 2:
+        return means.item(half)
+    return (means.item(half - 1) + means.item(half)) / 2.0
 
 
 def mad_scale(samples: Sequence[float] | np.ndarray) -> float:

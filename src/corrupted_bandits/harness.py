@@ -32,6 +32,7 @@ __all__ = [
     "aggregate",
     "monte_carlo_regret",
     "sweep",
+    "sweep_points",
     "bound_overlay",
     "write_results",
     "read_results",
@@ -260,17 +261,24 @@ def monte_carlo_regret(
     )
 
 
+def sweep_points(config: ExperimentConfig) -> list[tuple[float, ExperimentConfig]]:
+    """Each axis value of a sweep with the config of its point."""
+    if config.sweep_axis is None or not config.sweep_values:
+        raise ValueError("sweep requires sweep_axis and nonempty sweep_values")
+    # apply the axis before resolving defaults, so dependent fields (an
+    # unset assumed corruption rate tracks the true one) follow the point
+    return [
+        (value, replace(config, **{config.sweep_axis: value}, sweep_axis=None, sweep_values=[]))
+        for value in config.sweep_values
+    ]
+
+
 def sweep(
     config: ExperimentConfig, n_jobs: int = 1
 ) -> list[tuple[float, RegretCurve]]:
     """One curve per axis value, sharing the base seed for variance reduction."""
-    if config.sweep_axis is None or not config.sweep_values:
-        raise ValueError("sweep requires sweep_axis and nonempty sweep_values")
     curves = []
-    for value in config.sweep_values:
-        # apply the axis before resolving defaults, so dependent fields (an
-        # unset assumed corruption rate tracks the true one) follow the point
-        point = replace(config, **{config.sweep_axis: value}, sweep_axis=None, sweep_values=[])
+    for value, point in sweep_points(config):
         curve = monte_carlo_regret(
             point,
             n_jobs=n_jobs,

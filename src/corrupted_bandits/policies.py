@@ -65,11 +65,15 @@ class _ArmBuffer:
         if n == self._sorted.size:
             self._sorted = _doubled(self._sorted, n)
             self._prefix = _doubled(self._prefix, n + 1)
-        pos = int(np.searchsorted(self._sorted[:n], x))
+        pos = self._sorted[:n].searchsorted(x).item()
         self._sorted[pos + 1 : n + 1] = self._sorted[pos:n]
         self._sorted[pos] = x
         self.count = n + 1
-        np.cumsum(self._sorted[: self.count], out=self._prefix[1 : self.count + 1])
+        # Only the sums from the insert position on change.  cumsum adds in
+        # order, so seeding it with prefix[pos] gives the full recompute's bits.
+        tail = self._prefix[pos : n + 2]
+        tail[1:] = self._sorted[pos : n + 1]
+        np.cumsum(tail, out=tail)
         beta = self.beta * math.sqrt(self.count) if self.grow else self.beta
         self.value = self.huber_root(beta, self.value)
 
@@ -103,7 +107,7 @@ class _BasePolicy:
 
     def arm_index(self, arm: int, t: int) -> float:
         """``inf`` for an unpulled arm or an infinite bonus, else estimate plus bonus."""
-        s = int(self.counts[arm])
+        s = self.counts.item(arm)
         if s == 0:
             return INF
         bonus = self._bonus(arm, s, t)
@@ -116,29 +120,36 @@ class _BasePolicy:
         return np.array([self.arm_index(i, t) for i in range(self.k)])
 
     def select_arm(self, rng: np.random.Generator) -> int:
-        vals = self.indices()
-        top = vals.max()
+        t = self.t + 1
+        vals = [self.arm_index(i, t) for i in range(self.k)]
+        if any(map(math.isnan, vals)):
+            raise ValueError(f"nan arm index at step {t}: {vals}")
+        top = max(vals)
         if math.isinf(top):
             # Forced exploration: among the under-explored arms, favour the
             # least-pulled ones so the opening pulls cover every arm before
             # any repeat; ties broken uniformly.
-            candidates = np.flatnonzero(np.isinf(vals))
-            counts = self.counts[candidates]
-            candidates = candidates[counts == counts.min()]
+            candidates = [i for i, v in enumerate(vals) if math.isinf(v)]
+            counts = [self.counts.item(i) for i in candidates]
+            fewest = min(counts)
+            candidates = [i for i, c in zip(candidates, counts) if c == fewest]
         else:
-            candidates = np.flatnonzero(vals >= top - TIE_TOL)
-        if candidates.size == 1:
-            return int(candidates[0])
-        return int(candidates[rng.integers(candidates.size)])
+            floor = top - TIE_TOL
+            candidates = [i for i, v in enumerate(vals) if v >= floor]
+        if len(candidates) == 1:
+            return candidates[0]
+        return candidates[rng.integers(len(candidates))]
 
-    def _record(self, arm: int) -> None:
+    def _record(self, arm: int, reward: float) -> None:
         if not 0 <= arm < self.k:
             raise IndexError("arm out of range")
+        if math.isnan(reward):
+            raise ValueError(f"reward for arm {arm} is nan")
         self.counts[arm] += 1
         self.t += 1
 
     def update(self, arm: int, reward: float) -> None:
-        self._record(arm)
+        self._record(arm, reward)
         self.estimators[arm].update(reward)
 
     def _estimate(self, arm: int, t: int) -> float:
@@ -182,11 +193,11 @@ class UCB1(_BasePolicy):
         self.sums = np.zeros(k)
 
     def update(self, arm: int, reward: float) -> None:
-        self._record(arm)
+        self._record(arm, reward)
         self.sums[arm] += reward
 
     def _estimate(self, arm: int, t: int) -> float:
-        return self.sums[arm] / int(self.counts[arm])
+        return self.sums[arm] / self.counts.item(arm)
 
     def _bonus(self, arm: int, s: int, t: int) -> float:
         return math.sqrt(2.0 * math.log(t) / s)
@@ -224,14 +235,14 @@ class RobustUCBMOM(_BasePolicy):
         return max(1, min(s, math.ceil(8.0 * math.log(t))))
 
     def update(self, arm: int, reward: float) -> None:
-        self._record(arm)
-        n = int(self.counts[arm]) - 1
+        self._record(arm, reward)
+        n = self.counts.item(arm) - 1
         if n == self.rewards[arm].size:
             self.rewards[arm] = _doubled(self.rewards[arm], n)
         self.rewards[arm][n] = reward
 
     def _estimate(self, arm: int, t: int) -> float:
-        s = int(self.counts[arm])
+        s = self.counts.item(arm)
         blocks = self.block_count(s, t)
         key_s, key_b, value = self._cache[arm]
         if key_s == s and key_b == blocks:
@@ -264,6 +275,9 @@ class Exp3(_BasePolicy):
         self.clip = (float(lo), float(hi))
         self.eta = math.sqrt(math.log(k) / (k * horizon))
         self.log_weights = np.zeros(k)
+        # The probabilities of the last draw, handed from select_arm to the
+        # update of the same step; the weights change only in update.
+        self._drawn: np.ndarray | None = None
 
     def probabilities(self) -> np.ndarray:
         shifted = self.log_weights - self.log_weights.max()
@@ -271,11 +285,20 @@ class Exp3(_BasePolicy):
         return w / w.sum()
 
     def select_arm(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.k, p=self.probabilities()))
+        # rng.choice(k, p=probs) in its own steps: one uniform against the
+        # normalised cdf, so the policy stream is consumed exactly as by choice.
+        probs = self.probabilities()
+        cdf = probs.cumsum()
+        if math.isnan(cdf.item(-1)):
+            raise ValueError(f"Exp3 probabilities contain nan: {probs}")
+        cdf /= cdf[-1]
+        self._drawn = probs
+        return cdf.searchsorted(rng.random(), "right").item()
 
     def update(self, arm: int, reward: float) -> None:
-        probs = self.probabilities()
-        self._record(arm)
+        probs = self.probabilities() if self._drawn is None else self._drawn
+        self._record(arm, reward)
+        self._drawn = None
         lo, hi = self.clip
         clipped = min(max(reward, lo), hi)
         gain = (clipped - lo) / (hi - lo)

@@ -125,6 +125,24 @@ class TestSweep:
         assert len(parsed) == 2
         assert capsys.readouterr().out.count("final regret") == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--policy", "nosuch", "--axis", "beta_mult", "--values", "1,2"],
+            ["--policy", "huber_ucb", "--axis", "eps_true", "--values", "0.7"],
+            ["--policy", "huber_ucb", "--axis", "beta_mult", "--values", "-1"],
+            ["--policy", "huber_ucb", "--axis", "beta_mult", "--values", "1,x"],
+        ],
+        ids=["unknown-policy", "eps-out-of-range", "negative-beta-mult", "non-numeric-value"],
+    )
+    def test_rejected_sweep_exits_before_running(self, tmp_path, flags):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--horizon", "10", "--reps", "1", *flags, "--out", str(out)])
+        message = exc.value.code
+        assert isinstance(message, str) and message and "\n" not in message
+        assert not out.exists()
+
     def test_overlay_exits_before_running(self, tmp_path):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--policy", "huber_ucb", "--horizon", "30", "--reps", "1",

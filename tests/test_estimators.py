@@ -198,6 +198,32 @@ class TestMedianOfMeans:
         expected = np.median([0.0, 10.0, 4.0])
         assert median_of_means(x, 3) == expected
 
+    @staticmethod
+    def numpy_block_means(x, blocks):
+        """Block means in array form, the reference for median_of_means."""
+        base, rem = divmod(x.size, blocks)
+        sizes = np.full(blocks, base)
+        sizes[:rem] += 1
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        prefix = np.concatenate(([0.0], np.cumsum(x)))
+        return np.diff(prefix[bounds]) / sizes
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 8, 13, 68])
+    def test_matches_numpy_median(self, blocks):
+        rng = np.random.default_rng(blocks)
+        for n in (blocks, blocks + 3, 5 * blocks + 1, 1000):
+            x = rng.standard_t(2, size=n) * 10.0
+            expected = np.median(self.numpy_block_means(x, blocks))
+            assert median_of_means(x, blocks) == expected
+
+    @pytest.mark.parametrize("blocks", [3, 4])
+    def test_nan_block_mean_is_nan(self, blocks):
+        # +inf and -inf in the last block make its mean nan.
+        x = np.random.default_rng(5).normal(size=12)
+        x[-2:] = [math.inf, -math.inf]
+        assert math.isnan(np.median(self.numpy_block_means(x, blocks)))
+        assert math.isnan(median_of_means(x, blocks))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             median_of_means([1.0, 2.0], 3)

@@ -8,12 +8,15 @@ from corrupted_bandits.confidence import HuberParams, exploration_threshold
 from corrupted_bandits.envs import make_env
 from corrupted_bandits.estimators import floor_pow2, huber_estimate, median_of_means
 from corrupted_bandits.policies import (
+    TIE_TOL,
     Exp3,
     HuberUCB,
     RobustUCBCatoni,
     RobustUCBMOM,
     SeqHuberUCB,
     UCB1,
+    _ArmBuffer,
+    _BasePolicy,
     build_huber_params,
     make_policy,
     resolve_p,
@@ -30,7 +33,70 @@ def params(k=2, beta=4.0, sigma=1.0, eps=0.0, p=0.75, bias=0.0):
     return [HuberParams(beta=beta, sigma=sigma, eps=eps, p=p, bias=bias) for _ in range(k)]
 
 
+# One factory per policy, each over three arms.
+POLICY_FACTORIES = [
+    lambda: UCB1(3),
+    lambda: Exp3(3, horizon=500, clip=(0.0, 1.0)),
+    lambda: RobustUCBCatoni([1.0, 1.0, 1.0]),
+    lambda: RobustUCBMOM([1.0, 1.0, 1.0]),
+    lambda: HuberUCB(params(k=3)),
+    lambda: SeqHuberUCB(params(k=3)),
+]
+
+
+class _GivenIndices(_BasePolicy):
+    """A policy whose indices and counts are given, to drive select_arm directly."""
+
+    def __init__(self, vals, counts):
+        super().__init__(len(vals))
+        self.vals = list(vals)
+        self.counts[:] = counts
+
+    def arm_index(self, arm, t):
+        return self.vals[arm]
+
+
+def numpy_select(vals, counts, rng):
+    """The array form of ``_BasePolicy.select_arm``, kept as its reference."""
+    vals = np.asarray(vals, dtype=float)
+    top = vals.max()
+    if math.isinf(top):
+        candidates = np.flatnonzero(np.isinf(vals))
+        pulls = np.asarray(counts)[candidates]
+        candidates = candidates[pulls == pulls.min()]
+    else:
+        candidates = np.flatnonzero(vals >= top - TIE_TOL)
+    if candidates.size == 1:
+        return int(candidates[0])
+    return int(candidates[rng.integers(candidates.size)])
+
+
 class TestSelection:
+    @pytest.mark.parametrize(
+        "vals, counts",
+        [
+            ([0.5, 0.5, 0.3], [3, 3, 3]),
+            ([0.5, 0.5 - 5e-13, 0.5 + 5e-13, 0.5 - 2e-12], [1, 2, 3, 4]),
+            ([1.0, 3.0, 2.0], [5, 5, 5]),
+            ([-INF, -INF, 0.25], [2, 2, 2]),
+            ([INF, 0.2, INF], [0, 5, 0]),
+            ([INF, INF, INF, INF], [2, 1, 1, 1]),
+            ([INF, 7.0, INF, INF], [3, 9, 3, 4]),
+        ],
+    )
+    def test_matches_numpy_reference(self, vals, counts):
+        for seed in range(50):
+            ours, ref = rng_for(seed), rng_for(seed)
+            pol = _GivenIndices(vals, counts)
+            assert pol.select_arm(ours) == numpy_select(vals, counts, ref)
+            assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("vals", [[0.1, math.nan, 0.3], [math.nan, INF, 0.0], [INF, math.nan]])
+    def test_nan_index_raises(self, vals):
+        pol = _GivenIndices(vals, [1] * len(vals))
+        with pytest.raises(ValueError, match="nan arm index"):
+            pol.select_arm(rng_for(0))
+
     def test_all_unpulled_uniform(self):
         pol = UCB1(4)
         rng = rng_for(1)
@@ -72,17 +138,7 @@ class TestSelection:
 
 
 class TestAccounting:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: UCB1(3),
-            lambda: Exp3(3, horizon=500, clip=(0.0, 1.0)),
-            lambda: RobustUCBCatoni([1.0, 1.0, 1.0]),
-            lambda: RobustUCBMOM([1.0, 1.0, 1.0]),
-            lambda: HuberUCB(params(k=3)),
-            lambda: SeqHuberUCB(params(k=3)),
-        ],
-    )
+    @pytest.mark.parametrize("factory", POLICY_FACTORIES)
     def test_counts_sum_to_steps(self, factory):
         pol = factory()
         rng = rng_for(6)
@@ -90,6 +146,19 @@ class TestAccounting:
             arm = pol.select_arm(rng)
             pol.update(arm, float(rng.normal()))
         assert pol.counts.sum() == 500 == pol.t
+
+    @pytest.mark.parametrize("factory", POLICY_FACTORIES)
+    def test_nan_reward_rejected_before_any_change(self, factory):
+        pol = factory()
+        rng = rng_for(9)
+        for _ in range(20):
+            arm = pol.select_arm(rng)
+            pol.update(arm, float(rng.normal()))
+        counts, t = pol.counts.copy(), pol.t
+        arm = pol.select_arm(rng)
+        with pytest.raises(ValueError, match="reward for arm .* is nan"):
+            pol.update(arm, math.nan)
+        assert np.array_equal(pol.counts, counts) and pol.t == t
 
     def test_invalid_arm_rejected(self):
         pol = UCB1(2)
@@ -243,6 +312,26 @@ class TestBufferGrowth:
         assert len(history[0]) > 128 and 64 < len(history[1]) <= 128
 
 
+class TestArmBufferPrefix:
+    @pytest.mark.parametrize("order", ["back", "front", "duplicates", "random"])
+    def test_prefix_is_cumsum_of_sorted_values(self, order):
+        # 200 inserts take the buffer from 64 entries through two doublings.
+        rng = np.random.default_rng(21)
+        values = {
+            "back": np.arange(200.0) * 0.1,
+            "front": -np.arange(200.0) * 0.1,
+            "duplicates": rng.integers(0, 4, size=200) * 0.3,
+            "random": rng.standard_t(1, size=200) * 1e3,
+        }[order]
+        buf = _ArmBuffer(1.0)
+        for n, x in enumerate(values, start=1):
+            buf.update(float(x))
+            xs = np.sort(values[:n])
+            assert np.array_equal(buf._sorted[:n], xs)
+            assert np.array_equal(buf._prefix[: n + 1], np.concatenate(([0.0], np.cumsum(xs))))
+        assert buf._sorted.size == 256
+
+
 def test_spanned_policy_classes_are_unrelated():
     # Per-class timing wrappers around select_arm and update would nest if one
     # of these classes inherited another's methods.
@@ -277,6 +366,21 @@ class TestExp3:
     def test_learning_rate(self):
         pol = Exp3(3, horizon=5000)
         assert pol.eta == pytest.approx(math.sqrt(math.log(3) / (3 * 5000)))
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_draw_matches_choice(self, k):
+        for seed in range(200):
+            pol = Exp3(k, horizon=100)
+            pol.log_weights[:] = np.random.default_rng(seed).normal(scale=3.0, size=k)
+            ours, ref = rng_for(seed), rng_for(seed)
+            assert pol.select_arm(ours) == ref.choice(k, p=pol.probabilities())
+            assert ours.random() == ref.random()
+
+    def test_nan_probabilities_rejected(self):
+        pol = Exp3(3, horizon=100)
+        pol.log_weights[1] = INF
+        with pytest.raises(ValueError, match="nan"):
+            pol.select_arm(rng_for(0))
 
     def test_rewards_clipped(self):
         pol = Exp3(2, horizon=10, clip=(0.0, 1.0))
