@@ -18,11 +18,14 @@ import csv
 import json
 import math
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .confidence import HuberParams
+from .envs import PRESETS, check_positive
 from .estimators import (
     SequentialHuber,
     catoni_estimate,
@@ -32,7 +35,9 @@ from .estimators import (
 )
 from .harness import (
     OVERLAY_BOUNDS,
+    SWEEP_AXES,
     ExperimentConfig,
+    _fmt,
     bound_overlay,
     monte_carlo_regret,
     resolve,
@@ -43,6 +48,7 @@ from .harness import (
 from .policies import RobustUCBMOM
 from .theory import (
     GapProfile,
+    InapplicableBound,
     alpha_for_gap_ratio,
     corrupted_bernoulli_kl,
     corrupted_bernoulli_kl_bounds,
@@ -56,75 +62,60 @@ from .theory import (
 
 def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--env", choices=["bernoulli", "student", "pareto", "weibull"])
+    parser.add_argument("--env", choices=PRESETS)
     parser.add_argument("--policy")
-    parser.add_argument("--eps-true", type=float, dest="eps_true")
-    parser.add_argument("--eps-assumed", type=float, dest="eps_assumed")
-    parser.add_argument("--beta-mult", type=float, dest="beta_mult")
+    parser.add_argument("--eps-true", type=float)
+    parser.add_argument("--eps-assumed", type=float)
+    parser.add_argument("--beta-mult", type=float)
     parser.add_argument("--horizon", type=int)
     parser.add_argument("--reps", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", type=Path)
+    parser.add_argument("--out")
     parser.add_argument("--overlay", action="store_true", default=None)
     parser.add_argument("--jobs", type=int, default=1)
 
 
-def _checked(fn, *args):
-    """``fn(*args)``, with a rejected config ending in a one-line exit, not a traceback."""
+def _checked(fn, *args, what: str = "config"):
+    """``fn(*args)``, with rejected input ending in a one-line exit, not a traceback."""
     try:
         return fn(*args)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid config: {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise SystemExit(f"invalid {what}: {exc}") from None
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    data: dict = {}
+def _config_from_args(args: argparse.Namespace, **extra) -> ExperimentConfig:
+    """The config file's entries, overridden by every flag that names a config field."""
+    data = {}
     if args.config:
-        data.update(json.loads(Path(args.config).read_text()))
-    for key in (
-        "env",
-        "policy",
-        "eps_true",
-        "eps_assumed",
-        "beta_mult",
-        "horizon",
-        "reps",
-        "seed",
-        "overlay",
-    ):
-        value = getattr(args, key, None)
+        data = _checked(lambda: dict(json.loads(args.config.read_text())))
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[key] = value
-    if args.out is not None:
-        data["out"] = str(args.out)
-    return _checked(ExperimentConfig.from_dict, data)
+            data[f.name] = value
+    config = _checked(ExperimentConfig.from_dict, {**data, **extra})
+    if config.out is None:
+        raise SystemExit(f"{args.command} requires --out (or an 'out' entry in the config file)")
+    return config
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if config.out is None:
-        raise SystemExit("run requires --out (or an 'out' entry in the config file)")
     if config.overlay and config.policy not in OVERLAY_BOUNDS:
         raise SystemExit(f"run --overlay requires a policy in {tuple(OVERLAY_BOUNDS)}")
     _, env, _ = _checked(resolve, config)
     curve = monte_carlo_regret(config, env=env, n_jobs=args.jobs)
-    overlays = None
-    if config.overlay:
-        overlays = {curve.label: bound_overlay(config, env=env)}
+    overlays = {curve.label: bound_overlay(config, env=env)} if config.overlay else None
     write_results([curve], config.out, overlays=overlays, config=config)
     print(f"final regret {curve.final:.6g} -> {config.out}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    config.sweep_axis = args.axis
     try:
-        config.sweep_values = [float(v) for v in args.values.split(",")]
+        values = [float(v) for v in args.values.split(",")]
     except ValueError:
         raise SystemExit(f"--values must be comma-separated numbers, got {args.values!r}") from None
-    if config.out is None:
-        raise SystemExit("sweep requires --out")
+    config = _config_from_args(args, sweep_axis=args.axis, sweep_values=values)
     if config.overlay:
         raise SystemExit("sweep writes no bound overlay; use run --overlay for one point")
     for _, point in _checked(sweep_points, config):
@@ -136,91 +127,96 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _kl_table(args: argparse.Namespace) -> list[list]:
+    """The KL controls against the exact two-point KL on a log grid of gaps, header first."""
+    sigma, eps = args.sigma, args.eps
+    gaps = np.logspace(
+        math.log10(check_positive(args.gap_min, "--gap-min")),
+        math.log10(check_positive(args.gap_max, "--gap-max")),
+        check_positive(args.points, "--points"),
+    )
+    rows = [["gap", "exact_kl", "uniform_bound", "high_regime_bound", "low_regime"]]
+    for gap in gaps:
+        uniform, high, low_flag = corrupted_bernoulli_kl_bounds(gap, sigma, eps)
+        # The mirrored two-point construction realizes any gap/sigma ratio.
+        exact = corrupted_bernoulli_kl(alpha_for_gap_ratio(gap, sigma), eps)
+        rows.append([*map(_fmt, (gap, exact, uniform)), "" if high is None else _fmt(high),
+                     int(low_flag)])
+    return rows
+
+
+def _pulls_table(args: argparse.Namespace) -> list[list]:
+    """Pull-count lower and upper bounds on a grid of (eps, gap) at sigma = 1, header first."""
+    sigma = 1.0
+    gaps = np.logspace(-1, 1, check_positive(args.points, "--points")) * sigma
+    uppers = (max_pulls_huber_ucb, max_pulls_huber_ucb_simplified, max_pulls_seq_huber_ucb)
+    rows = [["eps", "gap", "lower_student", "lower_bernoulli",
+             "upper_pulls", "upper_pulls_simplified", "upper_pulls_seq"]]
+    for eps in (0.0, 0.02, 0.05, 0.1):
+        cfg = HuberParams(beta=4.0 * sigma, sigma=sigma, eps=eps, p=0.95, bias=0.0)
+        for gap in gaps:
+            profile = GapProfile(gap, sigma, eps)
+            try:
+                upper = [_fmt(bound(args.horizon, profile, cfg)) for bound in uppers]
+            except InapplicableBound:
+                upper = [_fmt(math.inf)] * len(uppers)
+            lower_bern = _fmt(min_pulls_bernoulli(gap, sigma, eps)) if eps > 0 else ""
+            rows.append([eps, _fmt(gap), _fmt(min_pulls_student(gap, sigma)), lower_bern, *upper])
+    return rows
+
+
+_TABLES = {"kl": _kl_table, "pulls": _pulls_table}
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    if args.table == "kl":
-        sigma, eps = args.sigma, args.eps
-        gaps = np.logspace(math.log10(args.gap_min), math.log10(args.gap_max), args.points)
-        rows = []
-        for gap in gaps:
-            uniform, high, low_flag = corrupted_bernoulli_kl_bounds(gap, sigma, eps)
-            # The mirrored two-point construction realizes any gap/sigma ratio.
-            alpha = alpha_for_gap_ratio(gap, sigma)
-            exact = corrupted_bernoulli_kl(alpha, eps)
-            rows.append(
-                [
-                    f"{gap:.17g}",
-                    f"{exact:.17g}",
-                    f"{uniform:.17g}",
-                    f"{high:.17g}" if high is not None else "",
-                    int(low_flag),
-                ]
-            )
-        _write_rows(out, ["gap", "exact_kl", "uniform_bound", "high_regime_bound", "low_regime"], rows)
-    else:
-        rows = []
-        for eps in (0.0, 0.02, 0.05, 0.1):
-            for ratio in np.logspace(-1, 1, args.points):
-                sigma = 1.0
-                gap = ratio * sigma
-                lower_student = min_pulls_student(gap, sigma)
-                lower_bern = (
-                    min_pulls_bernoulli(gap, sigma, eps) if eps > 0 else ""
-                )
-                cfg = HuberParams(beta=4.0 * sigma, sigma=sigma, eps=eps, p=0.95, bias=0.0)
-                profile = GapProfile(gap, sigma, eps)
-                try:
-                    upper = max_pulls_huber_ucb(args.horizon, profile, cfg)
-                    upper_simple = max_pulls_huber_ucb_simplified(args.horizon, profile, cfg)
-                    upper_seq = max_pulls_seq_huber_ucb(args.horizon, profile, cfg)
-                except ValueError:
-                    upper = upper_simple = upper_seq = math.inf
-                rows.append(
-                    [eps, f"{gap:.17g}", f"{lower_student:.17g}",
-                     f"{lower_bern:.17g}" if lower_bern != "" else "",
-                     f"{upper:.17g}", f"{upper_simple:.17g}", f"{upper_seq:.17g}"]
-                )
-        _write_rows(
-            out,
-            ["eps", "gap", "lower_student", "lower_bernoulli",
-             "upper_pulls", "upper_pulls_simplified", "upper_pulls_seq"],
-            rows,
-        )
-    print(f"wrote {out}")
+    table = _checked(_TABLES[args.table], args, what="bounds table")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    with args.out.open("w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+    print(f"wrote {args.out}")
     return 0
 
 
+def _sequential_huber(data: np.ndarray, args: argparse.Namespace) -> float:
+    est = SequentialHuber(args.beta)
+    for x in data:
+        est.update(float(x))
+    return est.value
+
+
+def _median_of_means(data: np.ndarray, args: argparse.Namespace) -> float:
+    blocks = args.blocks or RobustUCBMOM.block_count(data.size, max(data.size, 2))
+    if not 1 <= blocks <= data.size:
+        raise ValueError(f"--blocks must be in [1, {data.size}], or 0 for the default")
+    return median_of_means(data, blocks)
+
+
+# Estimator name -> value of a nonempty sample under the parsed flags; the
+# keys are the --estimator choices.
+ESTIMATORS = {
+    "huber": lambda data, args: huber_estimate(data, args.beta),
+    "seqhub": _sequential_huber,
+    "catoni": lambda data, args: catoni_estimate(data, args.sigma, args.scale),
+    "mom": _median_of_means,
+    "mean": lambda data, args: float(np.mean(data)),
+    "median": lambda data, args: float(np.median(data)),
+    "mad": lambda data, args: mad_scale(data),
+}
+
+
+def _load_samples(path: Path) -> np.ndarray:
+    with warnings.catch_warnings():
+        # an empty file is rejected below rather than warned about
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, ndmin=1)
+    if data.size == 0:
+        raise ValueError(f"{path} holds no numbers")
+    return data
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    data = np.loadtxt(args.input, ndmin=1)
-    name = args.estimator
-    if name == "huber":
-        value = huber_estimate(data, args.beta)
-    elif name == "seqhub":
-        est = SequentialHuber(args.beta)
-        for x in data:
-            est.update(float(x))
-        value = est.value
-    elif name == "catoni":
-        value = catoni_estimate(data, args.sigma, args.scale)
-    elif name == "mom":
-        blocks = args.blocks or RobustUCBMOM.block_count(data.size, max(data.size, 2))
-        if not 1 <= blocks <= data.size:
-            raise SystemExit(f"--blocks must be in [1, {data.size}], or 0 for the default")
-        value = median_of_means(data, blocks)
-    elif name == "mean":
-        value = float(np.mean(data))
-    elif name == "median":
-        value = float(np.median(data))
-    else:
-        value = mad_scale(data)
+    data = _checked(_load_samples, args.input, what="data file")
+    value = _checked(ESTIMATORS[args.estimator], data, args, what="estimate")
     print(format(value, ".17g"))
     return 0
 
@@ -238,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep a parameter axis")
     _experiment_flags(sweep_p)
-    sweep_p.add_argument("--axis", required=True, choices=["beta_mult", "eps_assumed", "eps_true"])
+    sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--values", required=True, help="comma-separated axis values")
     sweep_p.set_defaults(func=_cmd_sweep)
 
@@ -247,19 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--out", type=Path, required=True)
     bounds_p.add_argument("--sigma", type=float, default=1.0)
     bounds_p.add_argument("--eps", type=float, default=0.2)
-    bounds_p.add_argument("--gap-min", type=float, default=0.01, dest="gap_min")
-    bounds_p.add_argument("--gap-max", type=float, default=4.0, dest="gap_max")
+    bounds_p.add_argument("--gap-min", type=float, default=0.01)
+    bounds_p.add_argument("--gap-max", type=float, default=4.0)
     bounds_p.add_argument("--points", type=int, default=50)
     bounds_p.add_argument("--horizon", type=int, default=5000)
     bounds_p.set_defaults(func=_cmd_bounds)
 
     est_p = sub.add_parser("estimate", help="robust estimate of a data file")
     est_p.add_argument("input", type=Path, help="newline-separated reals")
-    est_p.add_argument(
-        "--estimator",
-        choices=["huber", "seqhub", "catoni", "mom", "mean", "median", "mad"],
-        default="huber",
-    )
+    est_p.add_argument("--estimator", choices=ESTIMATORS, default="huber")
     est_p.add_argument("--beta", type=float, default=1.0)
     est_p.add_argument("--sigma", type=float, default=1.0)
     est_p.add_argument("--scale", type=float, default=1.0)

@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .envs import check_eps
+from .envs import check_eps, check_positive
 from .estimators import floor_pow2
 
 __all__ = [
@@ -51,8 +51,7 @@ def corruption_proxy(eps: float) -> float:
 
 def chebyshev_p(sigma: float, beta: float) -> float:
     """Distribution-free lower bound on P(|Y - E Y| <= beta/2): max(0, 1 - 4 sigma^2 / beta^2)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_positive(beta, "beta")
     return max(0.0, 1.0 - 4.0 * sigma * sigma / (beta * beta))
 
 
@@ -84,10 +83,8 @@ class HuberParams:
     eps_proxy: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_positive(self.beta, "beta")
+        check_positive(self.sigma, "sigma")
         check_eps(self.eps)
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
@@ -96,8 +93,7 @@ class HuberParams:
                 f"p={self.p:g} must exceed 5*eps={5 * self.eps:g}; "
                 "the deviation bound degenerates otherwise"
             )
-        if self.bias < 0:
-            raise ValueError("bias must be nonnegative")
+        check_positive(self.bias, "bias", nonnegative=True)
         if self.beta < 4.0 * self.sigma:
             warnings.warn(
                 f"beta={self.beta:g} below 4*sigma={4 * self.sigma:g}: outside "
@@ -187,16 +183,13 @@ def huber_bias_bound(
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    check_positive(beta, "beta")
+    check_positive(sigma, "sigma")
     if centered_moment is None:
         if q != 2:
             raise ValueError("centered_moment is required for q != 2")
         centered_moment = sigma * sigma
-    if centered_moment < 0:
-        raise ValueError("centered_moment must be nonnegative")
+    check_positive(centered_moment, "centered_moment", nonnegative=True)
     if beta * beta < 9.0 * sigma * sigma:
         warnings.warn(
             f"beta^2={beta * beta:g} below 9*sigma^2={9 * sigma * sigma:g}: "

@@ -31,6 +31,7 @@ __all__ = [
     "make_env",
     "PRESETS",
     "check_eps",
+    "check_positive",
 ]
 
 
@@ -38,6 +39,14 @@ def check_eps(eps: float, name: str = "eps") -> None:
     """Reject a corruption rate outside ``[0, 0.5)``."""
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"{name} must lie in [0, 0.5)")
+
+
+def check_positive(value: float, name: str, nonnegative: bool = False) -> float:
+    """``value`` if it is finite and > 0 (>= 0 with ``nonnegative``); nan and inf fail both."""
+    kind = "nonnegative" if nonnegative else "positive"
+    if not (math.isfinite(value) and (value >= 0.0 if nonnegative else value > 0.0)):
+        raise ValueError(f"{name} must be finite and {kind}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,8 +81,7 @@ class Gaussian:
     std: float
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError("std must be positive")
+        check_positive(self.std, "std")
 
     def mean(self) -> float:
         return self.mu
@@ -97,8 +105,7 @@ class StudentT:
     loc: float = 0.0
 
     def __post_init__(self):
-        if self.df <= 0:
-            raise ValueError("df must be positive")
+        check_positive(self.df, "df")
 
     def mean(self) -> float:
         if self.df <= 1:
@@ -125,8 +132,8 @@ class Pareto:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("shape and scale must be positive")
+        check_positive(self.shape, "shape")
+        check_positive(self.scale, "scale")
 
     def mean(self) -> float:
         if self.shape <= 1:
@@ -158,8 +165,8 @@ class Weibull:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("shape and scale must be positive")
+        check_positive(self.shape, "shape")
+        check_positive(self.scale, "scale")
 
     def mean(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .envs import check_positive
+
 __all__ = [
     "influence",
     "influence_derivative",
@@ -44,8 +46,7 @@ def influence(x, beta: float):
     Odd, bounded by ``beta`` in absolute value, continuous at the clip points.
     Accepts scalars or arrays.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_positive(beta, "beta")
     if isinstance(x, np.ndarray):
         return np.clip(x, -beta, beta)
     return min(max(x, -beta), beta)
@@ -56,8 +57,7 @@ def influence_derivative(x, beta: float):
 
     Uses the closed-interval convention: equals 1 at ``|x| == beta``.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_positive(beta, "beta")
     if isinstance(x, np.ndarray):
         return (np.abs(x) <= beta).astype(float)
     return 1.0 if abs(x) <= beta else 0.0
@@ -173,8 +173,7 @@ def huber_estimate(samples: Sequence[float] | np.ndarray, beta: float) -> float:
         x = x.ravel()
     if x.size == 0:
         raise ValueError("samples must be nonempty")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_positive(beta, "beta")
     xs = np.sort(x)
     prefix = np.concatenate(([0.0], np.cumsum(xs)))
     return _huber_root_sorted(xs, prefix, beta, default_root_tol(x.size, beta))
@@ -192,11 +191,7 @@ def catoni_estimate(
     fragile under corruption.
     """
     x = np.asarray(samples, dtype=float)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    beta = scale * sigma * math.sqrt(x.size)
+    beta = check_positive(scale, "scale") * check_positive(sigma, "sigma") * math.sqrt(x.size)
     return huber_estimate(x, beta)
 
 
@@ -269,9 +264,7 @@ class SequentialHuber:
     """
 
     def __init__(self, beta: float, capacity: int = 64):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        self.beta = float(beta)
+        self.beta = float(check_positive(beta, "beta"))
         self.count = 0
         self.anchor = 0.0
         self.psi_sum = 0.0

@@ -19,9 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import BanditEnv, check_eps, make_env
+from .envs import BanditEnv, check_eps, check_positive, make_env
 from .policies import PolicyBuild, make_policy
-from .theory import GapProfile, max_pulls_huber_ucb_simplified, max_pulls_seq_huber_ucb
+from .theory import (
+    GapProfile,
+    InapplicableBound,
+    max_pulls_huber_ucb_simplified,
+    max_pulls_seq_huber_ucb,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -84,9 +89,13 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         check_eps(self.eps_true, "eps_true")
         if self.eps_assumed is not None:
             check_eps(self.eps_assumed, "eps_assumed")
+        if self.beta_mult is not None:
+            check_positive(self.beta_mult, "beta_mult")
         if self.sweep_axis is not None and self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
 
@@ -308,7 +317,7 @@ def bound_overlay(config: ExperimentConfig, env: BanditEnv | None = None) -> np.
         profile = GapProfile(gap, arm_cfg.sigma, arm_cfg.eps)
         try:
             values = np.array([bound_fn(int(t), profile, arm_cfg) for t in steps])
-        except ValueError:
+        except InapplicableBound:
             values = np.full(cfg.horizon, math.inf)
         overlay = overlay + gap * values
     return overlay

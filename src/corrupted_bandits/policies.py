@@ -18,7 +18,7 @@ import numpy as np
 
 from . import confidence
 from .confidence import HuberParams, chebyshev_p
-from .envs import BanditEnv, check_eps
+from .envs import BanditEnv, check_eps, check_positive
 from .estimators import (
     SequentialHuber,
     _doubled,
@@ -81,12 +81,6 @@ class _ArmBuffer:
         n = self.count
         tol = default_root_tol(n, beta)
         return _huber_root_sorted(self._sorted[:n], self._prefix[: n + 1], beta, tol, guess)
-
-
-def _positive(sigmas: Sequence[float]) -> list[float]:
-    if any(s <= 0 for s in sigmas):
-        raise ValueError("sigmas must be positive")
-    return [float(s) for s in sigmas]
 
 
 class _BasePolicy:
@@ -213,7 +207,7 @@ class RobustUCBCatoni(_BasePolicy):
 
     def __init__(self, sigmas: Sequence[float]):
         super().__init__(len(sigmas))
-        self.sigmas = _positive(sigmas)
+        self.sigmas = [float(check_positive(s, "sigmas")) for s in sigmas]
         self.estimators = [_ArmBuffer(s, grow=True) for s in self.sigmas]
 
     def _bonus(self, arm: int, s: int, t: int) -> float:
@@ -225,7 +219,7 @@ class RobustUCBMOM(_BasePolicy):
 
     def __init__(self, sigmas: Sequence[float]):
         super().__init__(len(sigmas))
-        self.sigmas = _positive(sigmas)
+        self.sigmas = [float(check_positive(s, "sigmas")) for s in sigmas]
         # Chronological rewards per arm: block means depend on arrival order.
         self.rewards = [np.empty(64, dtype=float) for _ in range(self.k)]
         self._cache: list[tuple[int, int, float]] = [(-1, -1, 0.0)] * self.k
@@ -375,8 +369,7 @@ def build_huber_params(
     """Per-arm parameters from an environment's analytic inlier moments."""
     if bias_rule not in BIAS_RULES:
         raise ValueError(f"bias_rule must be one of {BIAS_RULES}")
-    if beta_mult <= 0:
-        raise ValueError("beta_mult must be positive")
+    check_positive(beta_mult, "beta_mult")
     params = []
     for arm, raw_sigma in zip(env.arms, env.sigmas):
         sigma = max(float(raw_sigma), SIGMA_FLOOR)
@@ -403,9 +396,11 @@ class PolicyBuild:
     sigmas: tuple[float, ...] = ()
     exp3_clip: tuple[float, float] = (-10.0, 10.0)
 
-    def build(self):
+    def __post_init__(self):
         if self.name not in _CONSTRUCTORS:
             raise ValueError(f"unknown policy {self.name!r}; choose from {POLICY_NAMES}")
+
+    def build(self):
         return _CONSTRUCTORS[self.name](self)
 
 
@@ -421,8 +416,6 @@ def make_policy(
     exp3_clip: tuple[float, float] = (-10.0, 10.0),
 ) -> PolicyBuild:
     """Resolve a named policy against an environment into a picklable build recipe."""
-    if name not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
     arm_params: tuple[HuberParams, ...] = ()
     if name in ("huber_ucb", "seq_huber_ucb"):
         arm_params = tuple(

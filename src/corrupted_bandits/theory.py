@@ -14,10 +14,11 @@ from typing import Sequence
 import numpy as np
 
 from .confidence import HuberParams, _PROXY_FLOOR
-from .envs import check_eps
+from .envs import check_eps, check_positive
 
 __all__ = [
     "GapProfile",
+    "InapplicableBound",
     "student_kl_bound",
     "corrupted_bernoulli_pair",
     "corrupted_bernoulli_kl",
@@ -35,6 +36,10 @@ __all__ = [
 INF = math.inf
 
 
+class InapplicableBound(ValueError):
+    """A regret bound whose shifted gap is nonpositive: no finite value exists."""
+
+
 @dataclass(frozen=True)
 class GapProfile:
     """Suboptimality gap with the scale and corruption level it lives at."""
@@ -44,10 +49,8 @@ class GapProfile:
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_positive(self.delta, "delta", nonnegative=True)
+        check_positive(self.sigma, "sigma")
         check_eps(self.eps)
 
     @property
@@ -68,8 +71,7 @@ def student_kl_bound(df: float, gap: float) -> float:
     """
     if df <= 1:
         raise ValueError("df must exceed 1")
-    if gap < 0:
-        raise ValueError("gap must be nonnegative")
+    check_positive(gap, "gap", nonnegative=True)
     coeff = (df + 1.0) ** 2 / (5.0 * math.sqrt(df))
     if gap <= 1.0:
         return 3.0 ** (df - 1.0) * coeff * gap * gap
@@ -145,18 +147,14 @@ def corrupted_bernoulli_kl_bounds(
     2 eps sigma``: that is the form the derivation actually establishes, and
     the only one that dominates the exact two-point KL throughout the window.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if gap < 0:
-        raise ValueError("gap must be nonnegative")
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
+    shifted = GapProfile(gap, sigma, eps).corrupted_gap
     uniform = (1.0 - 2.0 * eps) * math.log1p((1.0 - 2.0 * eps) / eps)
     low_threshold = 2.0 * sigma * eps / math.sqrt(1.0 - 2.0 * eps)
     low_flag = gap <= low_threshold
     high = None
     if low_threshold < gap < 2.0 * sigma:
-        shifted = gap * (1.0 - eps) - 2.0 * eps * sigma
         high = (shifted / (2.0 * sigma)) * math.log1p(
             2.0 * shifted / (2.0 * sigma - shifted)
         )
@@ -171,9 +169,7 @@ def alpha_for_gap_ratio(gap: float, sigma: float) -> float:
     against the exact two-point construction, whose KL depends only on the
     ratio.
     """
-    if gap <= 0 or sigma <= 0:
-        raise ValueError("gap and sigma must be positive")
-    r = gap / sigma
+    r = check_positive(gap, "gap") / check_positive(sigma, "sigma")
     return 0.5 * (1.0 - r / math.sqrt(4.0 + r * r))
 
 
@@ -199,10 +195,8 @@ def min_pulls_student(gap: float, sigma: float) -> float:
     ``sigma^2 / (51 gap^2)`` or ``1 / (4 ln(gap/sigma) + 22)``, whichever is
     larger (the second term only competes where its denominator is positive).
     """
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    check_positive(gap, "gap")
+    check_positive(sigma, "sigma")
     first = sigma * sigma / (51.0 * gap * gap)
     log_denom = 4.0 * math.log(gap / sigma) + 22.0
     if log_denom <= 0.0:
@@ -213,26 +207,18 @@ def min_pulls_student(gap: float, sigma: float) -> float:
 def min_pulls_bernoulli(gap: float, sigma: float, eps: float) -> float:
     """Log-scale lower bound on suboptimal pulls under mirrored-pair corruption.
 
-    Gap above ``2 sigma``: a corruption-only constant.  Gap in the
-    distinguishable window: the reciprocal of the regime KL bound.  At or
-    below the indistinguishability threshold: ``inf`` (no finite uniform
-    bound exists).  ``gap == 2 sigma`` is evaluated with the large-gap branch.
+    The reciprocal of a KL control from :func:`corrupted_bernoulli_kl_bounds`:
+    the uniform bound for a gap of ``2 sigma`` or more (a corruption-only
+    constant), the regime bound inside the distinguishable window, and ``inf``
+    at or below the indistinguishability threshold (no finite bound exists).
+    A regime bound that underflows to 0 also gives ``inf``: the reciprocal
+    exceeds the float range.
     """
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 0.5)")
+    check_positive(gap, "gap")
+    uniform, high, _ = corrupted_bernoulli_kl_bounds(gap, sigma, eps)
     if gap >= 2.0 * sigma:
-        return 1.0 / ((1.0 - 2.0 * eps) * math.log((1.0 - eps) / eps))
-    if gap <= 2.0 * sigma * eps / math.sqrt(1.0 - 2.0 * eps):
-        return INF
-    shifted = gap * (1.0 - eps) - 2.0 * eps * sigma
-    # reciprocal of the regime KL bound, factor 2 included (see the bounds fn)
-    return 2.0 * sigma / (
-        shifted * math.log1p(2.0 * shifted / (2.0 * sigma - shifted))
-    )
+        return 1.0 / uniform
+    return 1.0 / high if high else INF
 
 
 def _second_entry(cfg: HuberParams) -> float:
@@ -253,7 +239,7 @@ def max_pulls_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:
         raise ValueError("n must be >= 1")
     shifted = gap.shifted_gap(cfg.p, cfg.beta, cfg.bias)
     if shifted <= 0:
-        raise ValueError("shifted gap must be positive; bound inapplicable")
+        raise InapplicableBound("shifted gap must be positive; bound inapplicable")
     sigma, beta = cfg.sigma, cfg.beta
     mix = math.sqrt(2.0) + 2.0 * (beta / sigma) * cfg.eps_proxy
     threshold = 12.0 * sigma * sigma / beta * mix * mix
@@ -276,7 +262,7 @@ def _max_pulls_explicit(n, gap: GapProfile, cfg: HuberParams, spread, large, sma
     sigma = cfg.sigma
     shifted = gap.delta * (cfg.p - cfg.eps) - 32.0 * sigma * cfg.eps
     if shifted <= 0:
-        raise ValueError("shifted gap must be positive; bound inapplicable")
+        raise InapplicableBound("shifted gap must be positive; bound inapplicable")
     proxy = cfg.eps_proxy
     threshold = spread * sigma * (1.0 + 4.0 * math.sqrt(2.0) * proxy) ** 2
     log_n = math.log(n)

@@ -1,11 +1,14 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from corrupted_bandits import cli
 from corrupted_bandits.cli import main
+from corrupted_bandits.envs import PRESETS
 from corrupted_bandits.estimators import huber_estimate, mad_scale, median_of_means
-from corrupted_bandits.harness import read_results
+from corrupted_bandits.harness import SWEEP_AXES, read_results
 
 
 @pytest.fixture
@@ -208,3 +211,160 @@ class TestEstimate:
         rc = main(["estimate", str(path), "--estimator", estimator])
         assert rc == 0
         float(capsys.readouterr().out.strip())
+
+
+def _exits_with_one_line(argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str) and message and "\n" not in message
+    return message
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Make any Monte-Carlo run through the CLI fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI started a run")
+
+    monkeypatch.setattr(cli, "monte_carlo_regret", refuse)
+    monkeypatch.setattr(cli, "sweep", refuse)
+
+
+class TestBoundaryExits:
+    @pytest.mark.parametrize("content", [None, "", "1.0\nabc\n"], ids=["missing", "empty", "non-numeric"])
+    def test_estimate_bad_data_file(self, tmp_path, content):
+        path = tmp_path / "data.txt"
+        if content is not None:
+            path.write_text(content)
+        assert _exits_with_one_line(["estimate", str(path)]).startswith("invalid data file")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eps", "0"], ["--eps", "0.5"], ["--eps=-0.1"], ["--gap-min", "0"], ["--gap-min=-1"]],
+        ids=["eps-0", "eps-half", "eps-negative", "gap-min-0", "gap-min-negative"],
+    )
+    def test_kl_table_out_of_range(self, tmp_path, flags):
+        out = tmp_path / "kl.csv"
+        _exits_with_one_line(["bounds", "--table", "kl", "--out", str(out), *flags])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table", ["kl", "pulls"])
+    def test_zero_points(self, tmp_path, table):
+        out = tmp_path / "t.csv"
+        assert "--points" in _exits_with_one_line(
+            ["bounds", "--table", table, "--points", "0", "--out", str(out)])
+        assert not out.exists()
+
+    def test_pulls_table_zero_horizon(self, tmp_path):
+        out = tmp_path / "pulls.csv"
+        _exits_with_one_line(["bounds", "--table", "pulls", "--horizon", "0", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, "{\"env\": "], ids=["missing", "malformed"])
+    def test_bad_config_file(self, tmp_path, no_runs, content):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        out = tmp_path / "res.csv"
+        message = _exits_with_one_line(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert message.startswith("invalid config")
+        assert not out.exists()
+
+    def test_negative_seed(self, tmp_path, no_runs):
+        out = tmp_path / "res.csv"
+        argv = ["run", "--policy", "ucb1", "--horizon", "10", "--reps", "1", "--seed", "-1",
+                "--out", str(out)]
+        assert "seed" in _exits_with_one_line(argv)
+        assert not out.exists()
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("estimator", ["huber", "seqhub"])
+    def test_estimate_nan_beta(self, data_file, estimator):
+        path, _ = data_file
+        message = _exits_with_one_line(["estimate", str(path), "--estimator", estimator,
+                                        "--beta", "nan"])
+        assert "beta must be finite and positive" in message
+
+    def test_run_infinite_beta_mult(self, tmp_path, no_runs):
+        out = tmp_path / "res.csv"
+        argv = ["run", "--policy", "huber_ucb", "--horizon", "10", "--reps", "1",
+                "--beta-mult", "inf", "--out", str(out)]
+        assert "beta_mult must be finite and positive" in _exits_with_one_line(argv)
+        assert not out.exists()
+
+    def test_run_nan_beta_mult_without_huber(self, tmp_path, no_runs):
+        # ucb1 never reads beta_mult; the config still rejects it, so the
+        # sidecar never records a nan.
+        out = tmp_path / "res.csv"
+        argv = ["run", "--policy", "ucb1", "--horizon", "10", "--reps", "1",
+                "--beta-mult", "nan", "--out", str(out)]
+        assert "beta_mult must be finite and positive" in _exits_with_one_line(argv)
+        assert not out.exists()
+
+    def test_sweep_nan_beta_mult(self, tmp_path, no_runs):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--policy", "huber_ucb", "--horizon", "10", "--reps", "1",
+                "--axis", "beta_mult", "--values", "1,nan", "--out", str(out)]
+        assert "beta_mult must be finite and positive" in _exits_with_one_line(argv)
+        assert not out.exists()
+
+
+class TestFlagsFollowTheConfig:
+    RUN_FLAGS = {
+        "env": "student", "policy": "huber_ucb", "eps_true": 0.03, "eps_assumed": 0.04,
+        "beta_mult": 2.5, "horizon": 12, "reps": 2, "seed": 9, "overlay": True,
+    }
+
+    @staticmethod
+    def _options(command):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {a.dest: a.option_strings[0] for a in sub.choices[command]._actions
+                if a.option_strings and a.dest != "help"}
+
+    def test_every_run_flag_lands_in_the_sidecar(self, tmp_path):
+        out = tmp_path / "res.csv"
+        options = self._options("run")
+        # --config feeds the other fields; --jobs is how a run executes, not what it is.
+        assert set(options) - {"config", "jobs"} == set(self.RUN_FLAGS) | {"out"}
+        argv = ["run", "--out", str(out)]
+        for dest, value in self.RUN_FLAGS.items():
+            argv += [options[dest]] if value is True else [options[dest], str(value)]
+        assert main(argv) == 0
+        config = json.loads(out.with_suffix(".meta.json").read_text())["config"]
+        assert {dest: config[dest] for dest in self.RUN_FLAGS} == self.RUN_FLAGS
+        assert config["out"] == str(out)
+
+    def test_every_sweep_flag_lands_in_the_sidecar(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        flags = {**self.RUN_FLAGS, "overlay": None}
+        options = self._options("sweep")
+        assert set(options) - {"config", "jobs"} == set(flags) | {"out", "axis", "values"}
+        argv = ["sweep", "--out", str(out), "--axis", "eps_assumed", "--values", "0.01,0.02"]
+        for dest, value in flags.items():
+            if value is not None:
+                argv += [options[dest], str(value)]
+        assert main(argv) == 0
+        config = json.loads(out.with_suffix(".meta.json").read_text())["config"]
+        assert {dest: config[dest] for dest in flags if flags[dest] is not None} == {
+            dest: value for dest, value in flags.items() if value is not None}
+        assert (config["sweep_axis"], config["sweep_values"]) == ("eps_assumed", [0.01, 0.02])
+
+    def test_choices_come_from_their_tables(self, monkeypatch):
+        monkeypatch.setitem(PRESETS, "extra", PRESETS["student"])
+        monkeypatch.setattr(cli, "SWEEP_AXES", (*SWEEP_AXES, "extra"))
+        monkeypatch.setitem(cli.ESTIMATORS, "extra", lambda data, args: 0.0)
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command, dest):
+            action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+            return list(action.choices)
+
+        assert choices("run", "env") == choices("sweep", "env") == list(PRESETS)
+        assert choices("sweep", "axis") == [*SWEEP_AXES, "extra"]
+        assert choices("estimate", "estimator") == list(cli.ESTIMATORS)
+        assert "extra" in choices("estimate", "estimator")
