@@ -52,10 +52,11 @@ def corruption_proxy(eps: float) -> float:
 def chebyshev_p(sigma: float, beta: float) -> float:
     """Distribution-free lower bound on P(|Y - E Y| <= beta/2): max(0, 1 - 4 sigma^2 / beta^2)."""
     check_positive(beta, "beta")
-    return max(0.0, 1.0 - 4.0 * sigma * sigma / (beta * beta))
+    # 0 once beta^2 underflows: the limit of the bound as beta -> 0
+    return max(0.0, 1.0 - 4.0 * sigma * sigma / (beta * beta)) if beta * beta else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: the bonus reads these fields per arm and step
 class HuberParams:
     """Per-arm parameters feeding every radius and bonus formula.
 
@@ -80,7 +81,14 @@ class HuberParams:
     eps: float = 0.0
     p: float = 1.0
     bias: float = 0.0
+    # Derived once; each is the left-associative prefix of the expression reading it.
     eps_proxy: float = field(init=False, repr=False)
+    gap: float = field(init=False, repr=False)  # p - 5 eps
+    valid_denom: float = field(init=False, repr=False)  # 49 k^2, k = 1 + 2 sqrt(2) proxy
+    explore_denom: float = field(init=False, repr=False)  # 128 gap^2
+    explore_k: float = field(init=False, repr=False)  # 1 + 2 sqrt(2) max(proxy, floor)
+    beta_proxy: float = field(init=False, repr=False)  # 2 beta proxy
+    beta_eps: float = field(init=False, repr=False)  # 2 beta eps
 
     def __post_init__(self):
         check_positive(self.beta, "beta")
@@ -102,16 +110,56 @@ class HuberParams:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        object.__setattr__(self, "eps_proxy", corruption_proxy(self.eps))
+        proxy = corruption_proxy(self.eps)
+        gap = self.p - 5.0 * self.eps
+        k = 1.0 + 2.0 * math.sqrt(2.0) * proxy
+        derived = dict(
+            eps_proxy=proxy, gap=gap, valid_denom=49.0 * k * k, explore_denom=128.0 * gap * gap,
+            explore_k=1.0 + 2.0 * math.sqrt(2.0) * max(proxy, _PROXY_FLOOR),
+            beta_proxy=2.0 * self.beta * proxy, beta_eps=2.0 * self.beta * self.eps,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen: past the dataclass __setattr__
 
 
 def min_valid_delta(n: int, cfg: HuberParams) -> float:
     """Smallest admissible confidence level for an n-sample radius."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = 1.0 + 2.0 * math.sqrt(2.0) * cfg.eps_proxy
-    gap = cfg.p - 5.0 * cfg.eps
-    return math.exp(-n * 128.0 * gap * gap / (49.0 * k * k))
+    return math.exp(-n * 128.0 * cfg.gap * cfg.gap / cfg.valid_denom)
+
+
+def _radius(n: int, delta: float, level: float, cfg: HuberParams) -> tuple[float, float]:
+    """The n-sample radius at ``delta`` (``level = ln(1/delta)``) and its denominator."""
+    if delta < min_valid_delta(n, cfg):
+        return INF, 0.0
+    denom = cfg.p - math.sqrt(level / (2.0 * n)) - cfg.eps
+    if denom <= 0.0:
+        return INF, denom
+    num = (
+        cfg.sigma * math.sqrt(2.0 * level / n)
+        + cfg.beta * level / (3.0 * n)
+        + cfg.beta_proxy * math.sqrt(level / n)
+        + cfg.beta_eps
+    )
+    return num / denom, denom
+
+
+def _seq_radius(n: int, anchor: int, delta: float, level: float, cfg: HuberParams) -> float:
+    """The n-sample radius plus the staleness term of the radius at ``anchor``."""
+    r_n, inner = _radius(n, delta, level, cfg)
+    r_anchor = r_n if anchor == n else _radius(anchor, delta, level, cfg)[0]
+    if math.isinf(r_n) or math.isinf(r_anchor):
+        return INF
+    return r_n + (1.0 / inner - 1.0) * r_anchor
+
+
+def _check_level(n: int, delta: float) -> float:  # ln(1/delta), for the public radii
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    return -math.log(delta)
 
 
 def concentration_radius(n: int, delta: float, cfg: HuberParams) -> float:
@@ -120,24 +168,7 @@ def concentration_radius(n: int, delta: float, cfg: HuberParams) -> float:
     ``inf`` when ``delta`` is below the admissible floor or the denominator
     ``p - sqrt(ln(1/delta) / (2n)) - eps`` is nonpositive.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if delta < min_valid_delta(n, cfg):
-        return INF
-    level = -math.log(delta)
-    denom = cfg.p - math.sqrt(level / (2.0 * n)) - cfg.eps
-    if denom <= 0.0:
-        return INF
-    beta, sigma = cfg.beta, cfg.sigma
-    num = (
-        sigma * math.sqrt(2.0 * level / n)
-        + beta * level / (3.0 * n)
-        + 2.0 * beta * cfg.eps_proxy * math.sqrt(level / n)
-        + 2.0 * beta * cfg.eps
-    )
-    return num / denom
+    return _radius(n, delta, _check_level(n, delta), cfg)[0]
 
 
 def seq_concentration_radius(n: int, delta: float, cfg: HuberParams) -> float:
@@ -146,15 +177,11 @@ def seq_concentration_radius(n: int, delta: float, cfg: HuberParams) -> float:
     The correction multiplies the radius at the last power-of-two anchor by
     ``1 / (p - sqrt(ln(1/delta)/(2n)) - eps) - 1``.  Validity additionally
     requires ``delta`` to be admissible at the anchor size.  Argument checks
-    and the ``inf`` cases are those of the two :func:`concentration_radius`
-    calls; the correction's denominator is the n-sample radius's own.
+    and the ``inf`` cases are those of :func:`concentration_radius` at ``n``
+    and at the anchor; the correction's denominator is the n-sample radius's own.
     """
-    r_n = concentration_radius(n, delta, cfg)
-    r_anchor = concentration_radius(floor_pow2(n), delta, cfg)
-    if math.isinf(r_n) or math.isinf(r_anchor):
-        return INF
-    inner = cfg.p - math.sqrt(-math.log(delta) / (2.0 * n)) - cfg.eps
-    return r_n + (1.0 / inner - 1.0) * r_anchor
+    level = _check_level(n, delta)
+    return _seq_radius(n, floor_pow2(n), delta, level, cfg)
 
 
 def exploration_threshold(t: int, cfg: HuberParams) -> float:
@@ -165,9 +192,7 @@ def exploration_threshold(t: int, cfg: HuberParams) -> float:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    gap = cfg.p - 5.0 * cfg.eps
-    k = 1.0 + 2.0 * math.sqrt(2.0) * max(cfg.eps_proxy, _PROXY_FLOOR)
-    return math.log(t) * 98.0 / (128.0 * gap * gap) * k * k
+    return math.log(t) * 98.0 / cfg.explore_denom * cfg.explore_k * cfg.explore_k
 
 
 def huber_bias_bound(
@@ -212,7 +237,8 @@ def huber_bonus(s: int, t: int, cfg: HuberParams) -> float:
         raise ValueError("s must be >= 0")
     if s == 0 or s < exploration_threshold(t, cfg):
         return INF
-    return concentration_radius(s, 1.0 / (t * t), cfg) + cfg.bias
+    delta = 1.0 / (t * t)
+    return _radius(s, delta, -math.log(delta), cfg)[0] + cfg.bias
 
 
 def seq_huber_bonus(s: int, t: int, cfg: HuberParams) -> float:
@@ -221,6 +247,10 @@ def seq_huber_bonus(s: int, t: int, cfg: HuberParams) -> float:
         raise ValueError("t must be >= 1")
     if s < 0:
         raise ValueError("s must be >= 0")
-    if s == 0 or floor_pow2(s) < exploration_threshold(t, cfg):
+    if s == 0:
         return INF
-    return seq_concentration_radius(s, 1.0 / (t * t), cfg) + cfg.bias
+    anchor = 1 << (s.bit_length() - 1)
+    if anchor < exploration_threshold(t, cfg):
+        return INF
+    delta = 1.0 / (t * t)
+    return _seq_radius(s, anchor, delta, -math.log(delta), cfg) + cfg.bias

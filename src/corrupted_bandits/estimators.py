@@ -284,7 +284,7 @@ class SequentialHuber:
         self._buf[self.count] = x
         self.count += 1
         t = self.count
-        if t == floor_pow2(t):
+        if not t & (t - 1):
             buf = self._buf[:t]
             self.anchor = huber_estimate(buf, self.beta)
             self.solver_samples += t
@@ -300,8 +300,9 @@ class SequentialHuber:
 
     @property
     def value(self) -> float:
-        if self.count == 0:
+        n = self.count
+        if n == 0:
             return 0.0
-        if self.count == floor_pow2(self.count) or self.psi_prime_sum == 0.0:
+        if not n & (n - 1) or self.psi_prime_sum == 0.0:
             return self.anchor
         return self.anchor + self.psi_sum / self.psi_prime_sum

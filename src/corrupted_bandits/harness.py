@@ -252,7 +252,7 @@ def monte_carlo_regret(
     if n_jobs == 1 or cfg.reps == 1:
         actions_by_rep = [_mc_task(t) for t in tasks]
     else:
-        workers = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
+        workers = min(n_jobs if n_jobs > 0 else math.inf, cfg.reps, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map yields in task order, i.e. by replication index
             actions_by_rep = list(

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confidence import HuberParams, _PROXY_FLOOR
+from .confidence import HuberParams
 from .envs import check_eps, check_positive
 
 __all__ = [
@@ -222,9 +222,7 @@ def min_pulls_bernoulli(gap: float, sigma: float, eps: float) -> float:
 
 
 def _second_entry(cfg: HuberParams) -> float:
-    k = 1.0 + 2.0 * math.sqrt(2.0) * max(cfg.eps_proxy, _PROXY_FLOOR)
-    gap = cfg.p - 5.0 * cfg.eps
-    return 4.0 / (gap * gap) * k * k
+    return 4.0 / (cfg.gap * cfg.gap) * cfg.explore_k * cfg.explore_k
 
 
 def max_pulls_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:

@@ -67,6 +67,11 @@ class TestChebyshevP:
     def test_limit_one(self):
         assert chebyshev_p(1.0, 1e9) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("beta", [1e-162, 1e-200, 5e-324])
+    def test_vacuous_where_beta_squared_underflows(self, beta):
+        # beta * beta is 0.0 here; the bound's limit as beta -> 0 is 0
+        assert chebyshev_p(1.0, beta) == 0.0
+
 
 class TestHuberParams:
     def test_rejects_p_below_corruption_floor(self):

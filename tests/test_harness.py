@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from corrupted_bandits import cli, harness
 from corrupted_bandits.confidence import HuberParams
 from corrupted_bandits.envs import BanditEnv, CorruptedArm, Dirac, Gaussian, make_env
 from corrupted_bandits.harness import (
@@ -103,6 +104,48 @@ class TestMonteCarlo:
         parallel = monte_carlo_regret(cfg, n_jobs=2)
         assert np.array_equal(serial.mean, parallel.mean)
         assert np.array_equal(serial.stderr, parallel.stderr)
+
+    @pytest.mark.parametrize(
+        "n_jobs, reps, cores, workers",
+        [(100_000, 2, 2, 2), (100_000, 6, 64, 6), (3, 6, 64, 3), (4, 6, 2, 2), (0, 6, 4, 4),
+         (-1, 3, 64, 3)],
+    )
+    def test_workers_capped_at_reps_and_cores(self, monkeypatch, n_jobs, reps, cores, workers):
+        seen = self._serial_pool(monkeypatch, cores)
+        cfg = tiny_config(reps=reps, horizon=30)
+        curve = monte_carlo_regret(cfg, n_jobs=n_jobs)
+        assert seen == [workers]
+        assert np.array_equal(curve.mean, monte_carlo_regret(cfg, n_jobs=1).mean)
+
+    def test_cli_jobs_capped_at_reps(self, monkeypatch, tmp_path):
+        seen = self._serial_pool(monkeypatch, 2)
+        out = tmp_path / "res.csv"
+        argv = ["run", "--policy", "ucb1", "--horizon", "20", "--reps", "2",
+                "--jobs", "100000", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert seen == [2]
+
+    @staticmethod
+    def _serial_pool(monkeypatch, cores):
+        """Replace the process pool by one that records ``max_workers`` and maps in-process."""
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        return seen
 
     def test_curve_monotone(self):
         curve = monte_carlo_regret(tiny_config(eps_true=0.05, reps=3))

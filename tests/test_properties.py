@@ -10,10 +10,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from corrupted_bandits.cli import ESTIMATORS, main
+from corrupted_bandits.envs import PRESETS
 from corrupted_bandits.estimators import (
     SequentialHuber,
     catoni_estimate,
@@ -21,7 +22,8 @@ from corrupted_bandits.estimators import (
     huber_estimate,
     median_of_means,
 )
-from corrupted_bandits.policies import _ArmBuffer
+from corrupted_bandits.harness import SWEEP_AXES
+from corrupted_bandits.policies import POLICY_NAMES, _ArmBuffer
 from corrupted_bandits.theory import min_pulls_bernoulli
 
 MACHINE_EPS = 2.0**-52
@@ -191,3 +193,42 @@ def test_bounds_flags_never_traceback(
     _exits_cleanly(["bounds", f"--table={table}", f"--out={out}", f"--sigma={sigma}",
                     f"--eps={eps}", f"--gap-min={gap_min}", f"--gap-max={gap_max}",
                     f"--points={points}", f"--horizon={horizon}"])
+
+
+# Any float or integer, with the valid ranges mixed in so that runs happen too.
+rates = st.one_of(st.floats(0.0, 0.5), st.floats()).map(repr)
+multipliers = st.one_of(st.floats(0.0, 20.0), st.floats()).map(repr)
+seeds = st.one_of(st.integers(0, 2**64), st.integers()).map(str)
+# A run at this size takes milliseconds; only the flags under test vary.
+PINNED = ["--horizon=20", "--reps=1", "--jobs=1"]
+
+
+@given(st.sampled_from(sorted(PRESETS)), st.sampled_from(POLICY_NAMES), rates, rates, multipliers,
+       seeds)
+# Found at 1500 examples: beta * beta underflowed to 0 inside chebyshev_p.
+@example("bernoulli", "huber_ucb", "0.0", "0.0", "1e-300", "0")
+def test_run_flags_never_traceback(tmp_path_factory, env, policy, eps_true, eps_assumed,
+                                   beta_mult, seed):
+    out = tmp_path_factory.getbasetemp() / "run.csv"
+    _exits_cleanly(["run", f"--env={env}", f"--policy={policy}", f"--eps-true={eps_true}",
+                    f"--eps-assumed={eps_assumed}", f"--beta-mult={beta_mult}", f"--seed={seed}",
+                    f"--out={out}", *PINNED])
+
+
+@given(
+    st.sampled_from(sorted(PRESETS)),
+    st.sampled_from(POLICY_NAMES),
+    st.sampled_from(SWEEP_AXES),
+    st.one_of(st.lists(st.one_of(rates, multipliers), min_size=1, max_size=3).map(",".join),
+              st.text(max_size=12)),
+    rates,
+    rates,
+    multipliers,
+    seeds,
+)
+def test_sweep_flags_never_traceback(tmp_path_factory, env, policy, axis, values, eps_true,
+                                     eps_assumed, beta_mult, seed):
+    out = tmp_path_factory.getbasetemp() / "sweep.csv"
+    _exits_cleanly(["sweep", f"--env={env}", f"--policy={policy}", f"--axis={axis}",
+                    f"--values={values}", f"--eps-true={eps_true}", f"--eps-assumed={eps_assumed}",
+                    f"--beta-mult={beta_mult}", f"--seed={seed}", f"--out={out}", *PINNED])
