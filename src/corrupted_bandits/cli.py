@@ -92,7 +92,7 @@ def _config_from_args(args: argparse.Namespace, **extra) -> ExperimentConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             data[f.name] = value
-    config = _checked(ExperimentConfig.from_dict, {**data, **extra})
+    config = _checked(lambda: ExperimentConfig(**{**data, **extra}))
     if config.out is None:
         raise SystemExit(f"{args.command} requires --out (or an 'out' entry in the config file)")
     return config

@@ -96,9 +96,10 @@ class HuberParams:
         check_eps(self.eps)
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if self.p <= 5.0 * self.eps:
+        gap = self.p - 5.0 * self.eps  # <= 0 exactly when p <= 5 eps
+        if gap <= 0.0 or 128.0 * gap * gap == 0.0:
             raise ValueError(
-                f"p={self.p:g} must exceed 5*eps={5 * self.eps:g}; "
+                f"p={self.p:g} must exceed 5*eps={5 * self.eps:g} with 128 (p - 5 eps)^2 > 0; "
                 "the deviation bound degenerates otherwise"
             )
         check_positive(self.bias, "bias", nonnegative=True)
@@ -111,7 +112,6 @@ class HuberParams:
                 stacklevel=2,
             )
         proxy = corruption_proxy(self.eps)
-        gap = self.p - 5.0 * self.eps
         k = 1.0 + 2.0 * math.sqrt(2.0) * proxy
         derived = dict(
             eps_proxy=proxy, gap=gap, valid_denom=49.0 * k * k, explore_denom=128.0 * gap * gap,

@@ -260,7 +260,8 @@ class SequentialHuber:
 
     The value at count 0 is defined to be 0.  When the correction denominator
     is 0 the anchor itself is returned: an empty linearization window carries
-    no local information.
+    no local information.  The Newton step can overshoot the samples, so a
+    corrected value is clamped into their range ``[lo, hi]`` (nan passes).
     """
 
     def __init__(self, beta: float, capacity: int = 64):
@@ -269,6 +270,8 @@ class SequentialHuber:
         self.anchor = 0.0
         self.psi_sum = 0.0
         self.psi_prime_sum = 0.0
+        self.lo = math.inf
+        self.hi = -math.inf
         self._buf = np.empty(max(capacity, 1), dtype=float)
         # Total samples touched by batch recomputations; bounded by 2n.
         self.solver_samples = 0
@@ -283,6 +286,10 @@ class SequentialHuber:
             self._buf = _doubled(self._buf, self.count)
         self._buf[self.count] = x
         self.count += 1
+        if x < self.lo:
+            self.lo = x
+        if x > self.hi:
+            self.hi = x
         t = self.count
         if not t & (t - 1):
             buf = self._buf[:t]
@@ -305,4 +312,9 @@ class SequentialHuber:
             return 0.0
         if not n & (n - 1) or self.psi_prime_sum == 0.0:
             return self.anchor
-        return self.anchor + self.psi_sum / self.psi_prime_sum
+        v = self.anchor + self.psi_sum / self.psi_prime_sum
+        if v < self.lo:
+            return self.lo
+        elif v > self.hi:
+            return self.hi
+        return v

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .envs import BanditEnv, check_eps, check_positive, make_env
-from .policies import PolicyBuild, make_policy
+from .policies import BIAS_RULES, PolicyBuild, check_clip, make_policy
 from .theory import (
     GapProfile,
     InapplicableBound,
@@ -85,17 +86,21 @@ class ExperimentConfig:
     sweep_values: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("horizon", 1), ("reps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         check_eps(self.eps_true, "eps_true")
         if self.eps_assumed is not None:
             check_eps(self.eps_assumed, "eps_assumed")
         if self.beta_mult is not None:
             check_positive(self.beta_mult, "beta_mult")
+        if self.bias_rule is not None and self.bias_rule not in BIAS_RULES:
+            raise ValueError(f"bias_rule must be one of {tuple(BIAS_RULES)}")
+        if self.exp3_clip is not None:
+            self.exp3_clip = check_clip(self.exp3_clip)
         if self.sweep_axis is not None and self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
 
@@ -114,13 +119,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        if data.get("exp3_clip") is not None:
-            data["exp3_clip"] = tuple(data["exp3_clip"])
-        return cls(**data)
 
 
 @dataclass
@@ -146,24 +144,12 @@ def resolve(
     cfg = config.resolved()
     if env is None:
         env = make_env(cfg.env, cfg.eps_true)
-    build = make_policy(
-        cfg.policy,
-        env,
-        horizon=cfg.horizon,
-        eps_assumed=cfg.eps_assumed,
-        beta_mult=cfg.beta_mult,
-        bias_rule=cfg.bias_rule,
-        p_mode=cfg.p_mode,
-        p_value=cfg.p_value,
-        exp3_clip=tuple(cfg.exp3_clip),
-    )
-    return cfg, env, build
+    return cfg, env, make_policy(cfg, env)
 
 
-def run_episode(
-    env: BanditEnv, build: PolicyBuild, horizon: int, seed: int, rep: int = 0
-) -> EpisodeResult:
-    """Play one seeded episode; deterministic in (seed, rep)."""
+def run_episode(env: BanditEnv, build: PolicyBuild, seed: int, rep: int = 0) -> EpisodeResult:
+    """Play one seeded episode of ``build.horizon`` steps; deterministic in (seed, rep)."""
+    horizon = build.horizon
     streams = _arm_rngs(seed, rep, env.k)
     policy_rng = streams[env.k]
     policy = build.build()
@@ -203,8 +189,7 @@ class RegretCurve:
 
 
 def _mc_task(args):
-    env, build, horizon, seed, rep = args
-    return run_episode(env, build, horizon, seed, rep).actions
+    return run_episode(*args).actions
 
 
 def aggregate(
@@ -248,7 +233,7 @@ def monte_carlo_regret(
     the curve does not depend on ``n_jobs`` or completion order.
     """
     cfg, env, build = resolve(config, env)
-    tasks = [(env, build, cfg.horizon, cfg.seed, m) for m in range(cfg.reps)]
+    tasks = [(env, build, cfg.seed, m) for m in range(cfg.reps)]
     if n_jobs == 1 or cfg.reps == 1:
         actions_by_rep = [_mc_task(t) for t in tasks]
     else:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import confidence
 from .confidence import HuberParams, chebyshev_p
-from .envs import BanditEnv, check_eps, check_positive
+from .envs import BanditEnv, check_positive
 from .estimators import (
     SequentialHuber,
     _doubled,
@@ -26,6 +26,9 @@ from .estimators import (
     default_root_tol,
     median_of_means,
 )
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 __all__ = [
     "HuberUCB",
@@ -39,6 +42,7 @@ __all__ = [
     "resolve_p",
     "make_policy",
     "PolicyBuild",
+    "check_clip",
 ]
 
 INF = math.inf
@@ -249,6 +253,16 @@ class RobustUCBMOM(_BasePolicy):
         return 12.0 * self.sigmas[arm] * math.sqrt(math.log(t) / s)
 
 
+def check_clip(clip: Sequence[float]) -> tuple[float, float]:
+    """A reward range as a float pair ``(lo, hi)`` with ``lo < hi`` and a finite width."""
+    if len(clip) != 2:
+        raise ValueError(f"clip range must be a pair (lo, hi), got {clip!r}")
+    lo, hi = float(clip[0]), float(clip[1])
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"clip range must be nondegenerate with a finite width, got {clip!r}")
+    return lo, hi
+
+
 class Exp3(_BasePolicy):
     """Exponential weights with importance-weighted gains on clipped rewards.
 
@@ -263,10 +277,7 @@ class Exp3(_BasePolicy):
         super().__init__(k)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        lo, hi = clip
-        if not lo < hi:
-            raise ValueError("clip range must be nondegenerate")
-        self.clip = (float(lo), float(hi))
+        self.clip = check_clip(clip)
         self.eta = math.sqrt(math.log(k) / (k * horizon))
         self.log_weights = np.zeros(k)
         # The probabilities of the last draw, handed from select_arm to the
@@ -313,7 +324,12 @@ POLICY_NAMES = tuple(_CONSTRUCTORS)
 
 SIGMA_FLOOR = 1e-12
 
-BIAS_RULES = ("zero", "second_moment", "half_second_moment")
+# Bias rule -> bound on |inlier mean - Huber functional| from an arm's sigma and beta.
+BIAS_RULES = {
+    "zero": lambda sigma, beta: 0.0,
+    "second_moment": lambda sigma, beta: 2.0 * sigma * sigma / beta,
+    "half_second_moment": lambda sigma, beta: sigma * sigma / beta,
+}
 
 
 def resolve_p(
@@ -334,7 +350,6 @@ def resolve_p(
     midpoint of ``(5 eps, 1)`` is used instead.  In every mode the result must
     exceed ``5 eps`` or the configuration is rejected.
     """
-    check_eps(eps)
     if mode == "explicit":
         if value is None:
             raise ValueError("explicit p mode requires a value")
@@ -358,30 +373,18 @@ def resolve_p(
     return p
 
 
-def build_huber_params(
-    env: BanditEnv,
-    eps_assumed: float,
-    beta_mult: float = 4.0,
-    bias_rule: str = "zero",
-    p_mode: str = "chebyshev",
-    p_value: float | None = None,
-) -> list[HuberParams]:
-    """Per-arm parameters from an environment's analytic inlier moments."""
-    if bias_rule not in BIAS_RULES:
-        raise ValueError(f"bias_rule must be one of {BIAS_RULES}")
-    check_positive(beta_mult, "beta_mult")
-    params = []
-    for arm, raw_sigma in zip(env.arms, env.sigmas):
-        sigma = max(float(raw_sigma), SIGMA_FLOOR)
-        beta = beta_mult * sigma
-        p = resolve_p(p_mode, p_value, sigma, beta, eps_assumed, inlier=arm.inlier)
-        if bias_rule == "zero":
-            bias = 0.0
-        elif bias_rule == "second_moment":
-            bias = 2.0 * sigma * sigma / beta
-        else:
-            bias = sigma * sigma / beta
-        params.append(HuberParams(beta=beta, sigma=sigma, eps=eps_assumed, p=p, bias=bias))
+def _sigmas(env: BanditEnv) -> tuple[float, ...]:
+    return tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas)
+
+
+def build_huber_params(env: BanditEnv, config: ExperimentConfig) -> list[HuberParams]:
+    """Per-arm parameters from an environment's analytic inlier moments and a resolved config."""
+    params, eps = [], config.eps_assumed
+    for arm, sigma in zip(env.arms, _sigmas(env)):
+        beta = config.beta_mult * sigma
+        p = resolve_p(config.p_mode, config.p_value, sigma, beta, eps, inlier=arm.inlier)
+        bias = BIAS_RULES[config.bias_rule](sigma, beta)
+        params.append(HuberParams(beta=beta, sigma=sigma, eps=eps, p=p, bias=bias))
     return params
 
 
@@ -392,9 +395,9 @@ class PolicyBuild:
     name: str
     k: int
     horizon: int
-    arm_params: tuple[HuberParams, ...] = ()
-    sigmas: tuple[float, ...] = ()
-    exp3_clip: tuple[float, float] = (-10.0, 10.0)
+    arm_params: tuple[HuberParams, ...]
+    sigmas: tuple[float, ...]
+    exp3_clip: tuple[float, float]
 
     def __post_init__(self):
         if self.name not in _CONSTRUCTORS:
@@ -404,35 +407,15 @@ class PolicyBuild:
         return _CONSTRUCTORS[self.name](self)
 
 
-def make_policy(
-    name: str,
-    env: BanditEnv,
-    horizon: int,
-    eps_assumed: float = 0.0,
-    beta_mult: float = 4.0,
-    bias_rule: str = "zero",
-    p_mode: str = "chebyshev",
-    p_value: float | None = None,
-    exp3_clip: tuple[float, float] = (-10.0, 10.0),
-) -> PolicyBuild:
-    """Resolve a named policy against an environment into a picklable build recipe."""
-    arm_params: tuple[HuberParams, ...] = ()
-    if name in ("huber_ucb", "seq_huber_ucb"):
-        arm_params = tuple(
-            build_huber_params(
-                env,
-                eps_assumed,
-                beta_mult=beta_mult,
-                bias_rule=bias_rule,
-                p_mode=p_mode,
-                p_value=p_value,
-            )
-        )
+def make_policy(config: ExperimentConfig, env: BanditEnv) -> PolicyBuild:
+    """The config's policy, with its preset defaults filled in, as a build recipe for ``env``."""
+    cfg = config.resolved()
+    huber = cfg.policy in ("huber_ucb", "seq_huber_ucb")
     return PolicyBuild(
-        name=name,
+        name=cfg.policy,
         k=env.k,
-        horizon=horizon,
-        arm_params=arm_params,
-        sigmas=tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas),
-        exp3_clip=exp3_clip,
+        horizon=cfg.horizon,
+        arm_params=tuple(build_huber_params(env, cfg)) if huber else (),
+        sigmas=_sigmas(env),
+        exp3_clip=cfg.exp3_clip,
     )

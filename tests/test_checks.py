@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from corrupted_bandits.confidence import HuberParams, chebyshev_p, huber_bias_bound
-from corrupted_bandits.envs import Gaussian, Pareto, StudentT, Weibull, check_positive, make_env
+from corrupted_bandits.envs import Gaussian, Pareto, StudentT, Weibull, check_positive
 from corrupted_bandits.estimators import (
     SequentialHuber,
     catoni_estimate,
@@ -15,7 +15,7 @@ from corrupted_bandits.estimators import (
     influence_derivative,
 )
 from corrupted_bandits.harness import ExperimentConfig
-from corrupted_bandits.policies import RobustUCBCatoni, RobustUCBMOM, build_huber_params
+from corrupted_bandits.policies import RobustUCBCatoni, RobustUCBMOM
 from corrupted_bandits.theory import (
     GapProfile,
     alpha_for_gap_ratio,
@@ -49,7 +49,6 @@ SITES = {
         lambda v: huber_bias_bound(1.0, 4.0, centered_moment=v), "centered_moment"),
     "RobustUCBCatoni": (lambda v: RobustUCBCatoni([1.0, v]), "sigmas"),
     "RobustUCBMOM": (lambda v: RobustUCBMOM([1.0, v]), "sigmas"),
-    "build_huber_params": (lambda v: build_huber_params(make_env("student"), 0.0, v), "beta_mult"),
     "ExperimentConfig": (lambda v: ExperimentConfig(policy="ucb1", beta_mult=v), "beta_mult"),
     "GapProfile.delta": (lambda v: GapProfile(v, 1.0), "delta"),
     "GapProfile.sigma": (lambda v: GapProfile(0.5, v), "sigma"),

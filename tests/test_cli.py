@@ -272,6 +272,29 @@ class TestBoundaryExits:
         assert message.startswith("invalid config")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entries, words",
+        [
+            ({"policy": "exp3", "exp3_clip": [1, 0]}, "nondegenerate"),
+            ({"policy": "exp3", "exp3_clip": [0, 1, 2]}, "a pair"),
+            ({"policy": "exp3", "exp3_clip": [-float("inf"), float("inf")]}, "finite width"),
+            ({"policy": "ucb1", "horizon": 20.5}, "horizon must be an integer"),
+            ({"policy": "ucb1", "seed": 1.5}, "seed must be an integer"),
+            ({"policy": "huber_ucb", "p_mode": "explicit", "p_value": 1e-200}, "(p - 5 eps)^2 > 0"),
+            ({"policy": "ucb1", "bias_rule": "none"}, "bias_rule must be one of"),
+        ],
+        ids=["clip-reversed", "clip-three", "clip-infinite", "horizon-fraction", "seed-fraction",
+             "p-underflow", "bias-rule-unknown"],
+    )
+    def test_config_file_value_exits_before_running(self, tmp_path, no_runs, entries, words):
+        # Each of these used to fail inside the first episode, with a traceback.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"horizon": 20, "reps": 1, **entries}))
+        out = tmp_path / "res.csv"
+        message = _exits_with_one_line(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert message.startswith("invalid config") and words in message
+        assert not out.exists()
+
     def test_negative_seed(self, tmp_path, no_runs):
         out = tmp_path / "res.csv"
         argv = ["run", "--policy", "ucb1", "--horizon", "10", "--reps", "1", "--seed", "-1",

@@ -181,13 +181,19 @@ class TestMatchesReference:
     )
     def test_random_params(self, data, eps, beta, sigma, bias, steps, delta):
         p = data.draw(st.floats(5.0 * eps, 1.0, exclude_min=True))
+        gap = p - 5.0 * eps
+        if 128.0 * gap * gap == 0.0:
+            # The exploration threshold would divide by 0 (p = 5e-324 at eps = 0).
+            with pytest.raises(ValueError, match=r"with 128 \(p - 5 eps\)\^2 > 0"):
+                HuberParams(beta=beta, sigma=sigma, eps=eps, p=p, bias=bias)
+            return
         cfg = HuberParams(beta=beta, sigma=sigma, eps=eps, p=p, bias=bias)
         for s, t in steps:
             assert_matches_reference(cfg, s, t, delta)
             # the gates at this step, which uniform draws of s almost never hit
             threshold = _outcome(ref_exploration_threshold, t, cfg)
             if not threshold.startswith(("0x", "-0x")):
-                continue  # an infinite threshold, or gap^2 underflowing to 0
+                continue  # an infinite threshold
             threshold = math.ceil(float.fromhex(threshold))
             for near in (threshold - 1, threshold, threshold + 1, floor_pow2(threshold + 1) * 2):
                 assert_matches_reference(cfg, max(near, 0), t, delta)

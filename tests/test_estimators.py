@@ -307,6 +307,7 @@ class TestSequentialHuber:
         s.anchor = 1.0
         s.psi_sum = 0.5
         s.psi_prime_sum = 5.0
+        s.lo, s.hi = 0.0, 2.0
         assert s.value == pytest.approx(1.1)
 
     def test_state_invariants(self):

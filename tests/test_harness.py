@@ -14,11 +14,12 @@ from corrupted_bandits.harness import (
     bound_overlay,
     monte_carlo_regret,
     read_results,
+    resolve,
     run_episode,
     sweep,
     write_results,
 )
-from corrupted_bandits.policies import HuberUCB, make_policy, resolve_p
+from corrupted_bandits.policies import HuberUCB, resolve_p
 from corrupted_bandits.theory import regret_decomposition
 
 
@@ -40,26 +41,28 @@ def dirac_env():
 class TestRunEpisode:
     def test_single_arm_gets_everything(self):
         env = BanditEnv((CorruptedArm(Gaussian(1.0, 1.0), Dirac(0.0), 0.0),))
-        build = make_policy("ucb1", env, horizon=50)
-        result = run_episode(env, build, 50, seed=1)
+        _, _, build = resolve(ExperimentConfig(policy="ucb1", horizon=50), env)
+        result = run_episode(env, build, seed=1)
         assert np.all(result.actions == 0)
 
     def test_seed_determinism(self):
         env = make_env("bernoulli", 0.05)
-        build = make_policy("ucb1", env, horizon=300)
-        a = run_episode(env, build, 300, seed=9, rep=3)
-        b = run_episode(env, build, 300, seed=9, rep=3)
+        _, _, build = resolve(ExperimentConfig(policy="ucb1", horizon=300), env)
+        a = run_episode(env, build, seed=9, rep=3)
+        b = run_episode(env, build, seed=9, rep=3)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.rewards, b.rewards)
-        c = run_episode(env, build, 300, seed=9, rep=4)
+        c = run_episode(env, build, seed=9, rep=4)
         assert not np.array_equal(a.rewards, c.rewards)
 
     def test_huber_forced_exploration_first_pulls_distinct(self):
         env = make_env("student", 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            build = make_policy("huber_ucb", env, horizon=50, beta_mult=1.0)
-        result = run_episode(env, build, 50, seed=2)
+            _, _, build = resolve(
+                ExperimentConfig(env="student", policy="huber_ucb", horizon=50, beta_mult=1.0), env
+            )
+        result = run_episode(env, build, seed=2)
         assert set(result.actions[:3]) == {0, 1, 2}
 
     def test_huber_on_dirac_arms_locks_optimal(self):
@@ -83,8 +86,8 @@ class TestRunEpisode:
 
     def test_corrupted_flags_recorded(self):
         env = make_env("bernoulli", 0.2)
-        build = make_policy("ucb1", env, horizon=2000)
-        result = run_episode(env, build, 2000, seed=4)
+        _, _, build = resolve(ExperimentConfig(policy="ucb1", horizon=2000), env)
+        result = run_episode(env, build, seed=4)
         assert 0.12 < result.corrupted.mean() < 0.28
 
 
@@ -93,8 +96,8 @@ class TestMonteCarlo:
         cfg = tiny_config(reps=1)
         env = make_env(cfg.env, cfg.eps_true)
         curve = monte_carlo_regret(cfg)
-        build = make_policy("ucb1", env, horizon=cfg.horizon)
-        episode = run_episode(env, build, cfg.horizon, seed=cfg.seed, rep=0)
+        _, _, build = resolve(cfg, env)
+        episode = run_episode(env, build, seed=cfg.seed, rep=0)
         manual = np.cumsum(env.gaps[episode.actions])
         assert np.allclose(curve.mean, manual)
 
@@ -157,8 +160,8 @@ class TestMonteCarlo:
 
     def test_trajectory_equivalence_per_run(self):
         env = make_env("bernoulli", 0.05)
-        build = make_policy("ucb1", env, horizon=500)
-        episode = run_episode(env, build, 500, seed=11)
+        _, _, build = resolve(ExperimentConfig(policy="ucb1", horizon=500), env)
+        episode = run_episode(env, build, seed=11)
         counts = np.bincount(episode.actions, minlength=env.k)
         assert np.cumsum(env.gaps[episode.actions])[-1] == pytest.approx(
             regret_decomposition(env.gaps, counts), rel=1e-12
@@ -271,9 +274,11 @@ class TestStreamingPolicySpeed:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for policy in ("huber_ucb", "seq_huber_ucb"):
-                build = make_policy(policy, env, horizon=horizon, eps_assumed=0.05, beta_mult=0.1)
+                config = ExperimentConfig(env="bernoulli", eps_true=0.05, policy=policy,
+                                          horizon=horizon, eps_assumed=0.05, beta_mult=0.1)
+                _, _, build = resolve(config, env)
                 start = time.perf_counter()
-                run_episode(env, build, horizon, seed=77)
+                run_episode(env, build, seed=77)
                 times[policy] = time.perf_counter() - start
         ratio = times["huber_ucb"] / times["seq_huber_ucb"]
         print(
@@ -303,9 +308,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(sweep_axis="gamma")
 
+    @pytest.mark.parametrize("value", [20.5, 2.0, "3"])
+    @pytest.mark.parametrize("name", ["horizon", "reps", "seed"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ExperimentConfig(**{name: value})
+        assert getattr(ExperimentConfig(**{name: np.int64(3)}), name) == 3
+
     def test_dict_roundtrip(self):
         cfg = tiny_config(exp3_clip=(0.0, 1.0))
-        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        again = ExperimentConfig(**json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from corrupted_bandits.confidence import HuberParams, exploration_threshold
-from corrupted_bandits.envs import make_env
+from corrupted_bandits.envs import PRESETS, make_env
 from corrupted_bandits.estimators import floor_pow2, huber_estimate, median_of_means
+from corrupted_bandits.harness import ExperimentConfig, resolve
 from corrupted_bandits.policies import (
     TIE_TOL,
     Exp3,
@@ -15,10 +16,13 @@ from corrupted_bandits.policies import (
     RobustUCBMOM,
     SeqHuberUCB,
     UCB1,
+    BIAS_RULES,
+    POLICY_NAMES,
+    PolicyBuild,
+    SIGMA_FLOOR,
     _ArmBuffer,
     _BasePolicy,
-    build_huber_params,
-    make_policy,
+    check_clip,
     resolve_p,
 )
 
@@ -389,6 +393,20 @@ class TestExp3:
         # gain capped at 1, weight moves by at most eta / p
         assert pol.log_weights[0] <= pol.eta / probs[0] + 1e-12
 
+    @pytest.mark.parametrize(
+        "clip",
+        [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0, 2.0), (0.0,), (-INF, INF), (0.0, INF), (-INF, 0.0),
+         (-1e308, 1e308), (math.nan, 1.0)],
+    )
+    def test_clip_rejected(self, clip):
+        # An infinite width turns the rescaled gain into nan a few steps in.
+        with pytest.raises(ValueError, match="^clip range must be"):
+            Exp3(2, horizon=10, clip=clip)
+
+    def test_clip_as_float_pair(self):
+        assert check_clip([0, 1]) == (0.0, 1.0)
+        assert all(type(x) is float for x in check_clip([0, 1]))
+
 
 class TestResolveP:
     def test_explicit_validation(self):
@@ -427,11 +445,14 @@ class TestResolveP:
 class TestMakePolicy:
     def test_bias_rules(self):
         env = make_env("pareto", 0.0)
+        builds = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            zero = build_huber_params(env, 0.0, beta_mult=1.5, bias_rule="zero")
-            half = build_huber_params(env, 0.0, beta_mult=1.5, bias_rule="half_second_moment")
-            full = build_huber_params(env, 0.0, beta_mult=1.5, bias_rule="second_moment")
+            for rule in ("zero", "half_second_moment", "second_moment"):
+                config = ExperimentConfig(env="pareto", policy="huber_ucb", beta_mult=1.5,
+                                          bias_rule=rule)
+                builds[rule] = resolve(config, env)[2].arm_params
+        zero, half, full = builds["zero"], builds["half_second_moment"], builds["second_moment"]
         sigma = env.sigmas[0]
         assert zero[0].bias == 0.0
         assert half[0].bias == pytest.approx(sigma / 1.5)
@@ -440,13 +461,15 @@ class TestMakePolicy:
     def test_unknown_policy(self):
         env = make_env("bernoulli", 0.0)
         with pytest.raises(ValueError):
-            make_policy("thompson", env, horizon=10)
+            resolve(ExperimentConfig(policy="thompson", horizon=10), env)
 
     def test_build_roundtrip(self):
         env = make_env("student", 0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            build = make_policy("huber_ucb", env, horizon=100, eps_assumed=0.05, beta_mult=1.0)
+            config = ExperimentConfig(env="student", eps_true=0.05, policy="huber_ucb",
+                                      horizon=100, eps_assumed=0.05, beta_mult=1.0)
+            build = resolve(config, env)[2]
         pol = build.build()
         assert isinstance(pol, HuberUCB)
         assert pol.k == 3
@@ -454,5 +477,99 @@ class TestMakePolicy:
 
     def test_exp3_clip_passthrough(self):
         env = make_env("bernoulli", 0.0)
-        build = make_policy("exp3", env, horizon=100, exp3_clip=(0.0, 1.0))
+        config = ExperimentConfig(env="bernoulli", policy="exp3", horizon=100, exp3_clip=(0.0, 1.0))
+        build = resolve(config, env)[2]
         assert build.build().clip == (0.0, 1.0)
+
+
+def reference_build_huber_params(
+    env,
+    eps_assumed,
+    beta_mult=4.0,
+    bias_rule="zero",
+    p_mode="chebyshev",
+    p_value=None,
+):
+    """``build_huber_params`` as it was when it took each parameter with a default of its own."""
+    if bias_rule not in BIAS_RULES:
+        raise ValueError(f"bias_rule must be one of {tuple(BIAS_RULES)}")
+    params = []
+    for arm, raw_sigma in zip(env.arms, env.sigmas):
+        sigma = max(float(raw_sigma), SIGMA_FLOOR)
+        beta = beta_mult * sigma
+        p = resolve_p(p_mode, p_value, sigma, beta, eps_assumed, inlier=arm.inlier)
+        if bias_rule == "zero":
+            bias = 0.0
+        elif bias_rule == "second_moment":
+            bias = 2.0 * sigma * sigma / beta
+        else:
+            bias = sigma * sigma / beta
+        params.append(HuberParams(beta=beta, sigma=sigma, eps=eps_assumed, p=p, bias=bias))
+    return params
+
+
+def reference_make_policy(
+    name,
+    env,
+    horizon,
+    eps_assumed=0.0,
+    beta_mult=4.0,
+    bias_rule="zero",
+    p_mode="chebyshev",
+    p_value=None,
+    exp3_clip=(-10.0, 10.0),
+):
+    """``make_policy`` as it was when it relayed nine parameters, each with a default of its own."""
+    arm_params = ()
+    if name in ("huber_ucb", "seq_huber_ucb"):
+        arm_params = tuple(
+            reference_build_huber_params(
+                env,
+                eps_assumed,
+                beta_mult=beta_mult,
+                bias_rule=bias_rule,
+                p_mode=p_mode,
+                p_value=p_value,
+            )
+        )
+    return PolicyBuild(
+        name=name,
+        k=env.k,
+        horizon=horizon,
+        arm_params=arm_params,
+        sigmas=tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas),
+        exp3_clip=exp3_clip,
+    )
+
+
+def _build_or_error(build, *args, **kwargs):
+    """The recipe, or the type and message of the error that rejected it (both paths must agree)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # beta < 4 sigma on several presets
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("env_name", sorted(PRESETS))
+def test_recipe_matches_the_relayed_parameters(env_name, policy):
+    # PolicyBuild equality compares every HuberParams field, the derived ones too.
+    cases = 0
+    for eps in (0.0, 0.03, 0.05):
+        env = make_env(env_name, eps)
+        for bias_rule in BIAS_RULES:
+            for p_mode in ("chebyshev", "exact"):
+                for beta_mult in (None, 2.5):
+                    config = ExperimentConfig(env=env_name, eps_true=eps, policy=policy,
+                                              horizon=300, beta_mult=beta_mult,
+                                              bias_rule=bias_rule, p_mode=p_mode)
+                    cfg = config.resolved()
+                    got = _build_or_error(lambda: resolve(config, env)[2])
+                    want = _build_or_error(
+                        reference_make_policy, cfg.policy, env, cfg.horizon, cfg.eps_assumed,
+                        cfg.beta_mult, cfg.bias_rule, cfg.p_mode, cfg.p_value, cfg.exp3_clip,
+                    )
+                    assert got == want, (eps, bias_rule, p_mode, beta_mult)
+                    cases += isinstance(got, PolicyBuild)
+    assert cases > 0

@@ -1,10 +1,11 @@
-"""Property-based invariants: robust estimators, the Bernoulli lower bound, CLI numeric flags.
+"""Property-based invariants: robust estimators, the Bernoulli lower bound, CLI flags and config files.
 
 Examples come from the deterministic profile in ``conftest.py``.  Samples
 stay within |x| <= 1e6; magnitudes up to 1e308 and +-inf belong with the
 exact Huber root (ROADMAP item 2), which these properties do not yet cover.
 """
 
+import json
 import math
 import sys
 
@@ -23,7 +24,7 @@ from corrupted_bandits.estimators import (
     median_of_means,
 )
 from corrupted_bandits.harness import SWEEP_AXES
-from corrupted_bandits.policies import POLICY_NAMES, _ArmBuffer
+from corrupted_bandits.policies import BIAS_RULES, POLICY_NAMES, _ArmBuffer
 from corrupted_bandits.theory import min_pulls_bernoulli
 
 MACHINE_EPS = 2.0**-52
@@ -56,6 +57,9 @@ class TestEstimatorRange:
         assert _in_range(median_of_means(xs, blocks), xs)
 
     @given(samples, betas)
+    # Found at 1500 examples: the anchor of the first four is 48855.5, with no
+    # sample within beta of it, and the unclamped Newton step gave -48854.0.
+    @example([0.0, 0.0, 97711.0, 97711.0, 0.0, 1.0], 48855.0)
     def test_sequential_huber(self, xs, beta):
         est = SequentialHuber(beta)
         for x in xs:
@@ -74,16 +78,6 @@ class TestEstimatorRange:
     def test_median_of_means_of_equal_samples(self):
         xs = [699050.9762153404] * 3
         assert _in_range(median_of_means(xs, 1), xs)  # returns 699050.9762153405
-
-    @pytest.mark.xfail(strict=True, reason="the Newton step off an empty anchor window is unbounded")
-    def test_sequential_huber_after_a_flat_anchor(self):
-        # The anchor of the first four is 48855.5, with no sample within beta
-        # of it; the last sample is the only one in the correction's window.
-        xs = [0.0, 0.0, 97711.0, 97711.0, 0.0, 1.0]
-        est = SequentialHuber(48855.0)
-        for x in xs:
-            est.update(x)
-        assert _in_range(est.value, xs)  # returns -48854.0
 
 
 class TestEstimatorSymmetry:
@@ -232,3 +226,31 @@ def test_sweep_flags_never_traceback(tmp_path_factory, env, policy, axis, values
     _exits_cleanly(["sweep", f"--env={env}", f"--policy={policy}", f"--axis={axis}",
                     f"--values={values}", f"--eps-true={eps_true}", f"--eps-assumed={eps_assumed}",
                     f"--beta-mult={beta_mult}", f"--seed={seed}", f"--out={out}", *PINNED])
+
+
+# Config-file-only fields, and the run's size, with valid values mixed into junk.
+p_modes = st.one_of(st.sampled_from(["chebyshev", "exact", "explicit"]), st.text(max_size=12))
+p_values = st.one_of(st.none(), st.floats())
+bias_rules = st.one_of(st.sampled_from(sorted(BIAS_RULES)), st.text(max_size=12))
+clips = st.lists(st.floats(), min_size=2, max_size=3)
+horizons = st.one_of(st.integers(max_value=50), st.floats(max_value=50))
+file_seeds = st.one_of(st.integers(), st.floats())
+
+
+@given(st.sampled_from(sorted(PRESETS)), st.sampled_from(POLICY_NAMES), p_modes, p_values,
+       bias_rules, clips, horizons, file_seeds)
+# Each of these failed inside the first episode, with a traceback.
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [1.0, 0.0], 20, 0)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0, 2.0], 20, 0)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [-math.inf, math.inf], 20, 0)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0], 20.5, 0)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0], 20, 1.5)
+@example("bernoulli", "huber_ucb", "explicit", 1e-200, "zero", [0.0, 1.0], 20, 0)
+def test_config_file_never_tracebacks(tmp_path_factory, env, policy, p_mode, p_value, bias_rule,
+                                      clip, horizon, seed):
+    base = tmp_path_factory.getbasetemp()
+    config = {"env": env, "policy": policy, "p_mode": p_mode, "p_value": p_value,
+              "bias_rule": bias_rule, "exp3_clip": clip, "horizon": horizon, "seed": seed}
+    (base / "config.json").write_text(json.dumps(config))
+    _exits_cleanly(["run", f"--config={base / 'config.json'}", "--reps=1", "--jobs=1",
+                    f"--out={base / 'config_run.csv'}"])
