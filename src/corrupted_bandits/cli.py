@@ -48,7 +48,6 @@ from .harness import (
 from .policies import RobustUCBMOM
 from .theory import (
     GapProfile,
-    InapplicableBound,
     alpha_for_gap_ratio,
     corrupted_bernoulli_kl,
     corrupted_bernoulli_kl_bounds,
@@ -156,10 +155,7 @@ def _pulls_table(args: argparse.Namespace) -> list[list]:
         cfg = HuberParams(beta=4.0 * sigma, sigma=sigma, eps=eps, p=0.95, bias=0.0)
         for gap in gaps:
             profile = GapProfile(gap, sigma, eps)
-            try:
-                upper = [_fmt(bound(args.horizon, profile, cfg)) for bound in uppers]
-            except InapplicableBound:
-                upper = [_fmt(math.inf)] * len(uppers)
+            upper = [_fmt(bound(args.horizon, profile, cfg)) for bound in uppers]
             lower_bern = _fmt(min_pulls_bernoulli(gap, sigma, eps)) if eps > 0 else ""
             rows.append([eps, _fmt(gap), _fmt(min_pulls_student(gap, sigma)), lower_bern, *upper])
     return rows

@@ -12,7 +12,6 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .envs import check_eps, check_positive
@@ -74,6 +73,8 @@ class HuberParams:
     bias : float >= 0
         Bound on the distance between the Huber functional and the inlier
         mean (0 for symmetric inliers).
+
+    The derived ``beta_valid`` flags ``beta >= 4 sigma``, the deviation bound's region.
     """
 
     beta: float
@@ -89,6 +90,7 @@ class HuberParams:
     explore_k: float = field(init=False, repr=False)  # 1 + 2 sqrt(2) max(proxy, floor)
     beta_proxy: float = field(init=False, repr=False)  # 2 beta proxy
     beta_eps: float = field(init=False, repr=False)  # 2 beta eps
+    beta_valid: bool = field(init=False, repr=False)  # beta >= 4 sigma
 
     def __post_init__(self):
         check_positive(self.beta, "beta")
@@ -103,20 +105,13 @@ class HuberParams:
                 "the deviation bound degenerates otherwise"
             )
         check_positive(self.bias, "bias", nonnegative=True)
-        if self.beta < 4.0 * self.sigma:
-            warnings.warn(
-                f"beta={self.beta:g} below 4*sigma={4 * self.sigma:g}: outside "
-                "the validity region of the deviation bound (allowed, the "
-                "radii become conservative)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         proxy = corruption_proxy(self.eps)
         k = 1.0 + 2.0 * math.sqrt(2.0) * proxy
         derived = dict(
             eps_proxy=proxy, gap=gap, valid_denom=49.0 * k * k, explore_denom=128.0 * gap * gap,
             explore_k=1.0 + 2.0 * math.sqrt(2.0) * max(proxy, _PROXY_FLOOR),
             beta_proxy=2.0 * self.beta * proxy, beta_eps=2.0 * self.beta * self.eps,
+            beta_valid=self.beta >= 4.0 * self.sigma,
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)  # frozen: past the dataclass __setattr__
@@ -204,7 +199,8 @@ def huber_bias_bound(
     """Bound on |inlier mean - Huber functional| from a centered q-th moment.
 
     ``2 m_q / ((q - 1) beta^(q-1))``; at ``q = 2`` with ``m_2 = sigma^2`` this
-    is ``2 sigma^2 / beta``.  Symmetric inliers should use 0 instead.
+    is ``2 sigma^2 / beta``.  Symmetric inliers should use 0 instead.  It is
+    a bound where ``beta^2 >= 9 sigma^2`` and is evaluated as printed anywhere.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -215,13 +211,6 @@ def huber_bias_bound(
             raise ValueError("centered_moment is required for q != 2")
         centered_moment = sigma * sigma
     check_positive(centered_moment, "centered_moment", nonnegative=True)
-    if beta * beta < 9.0 * sigma * sigma:
-        warnings.warn(
-            f"beta^2={beta * beta:g} below 9*sigma^2={9 * sigma * sigma:g}: "
-            "bias bound evaluated outside its validity region",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return 2.0 * centered_moment / ((q - 1.0) * beta ** (q - 1.0))
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import stdtr
 
 __all__ = [
     "Bernoulli",
@@ -121,6 +120,7 @@ class StudentT:
         return self.loc + float(rng.standard_t(self.df))
 
     def interval_prob(self, lo: float, hi: float) -> float:
+        from scipy.special import stdtr  # only the exact p mode needs scipy
         return float(stdtr(self.df, hi - self.loc) - stdtr(self.df, lo - self.loc))
 
 

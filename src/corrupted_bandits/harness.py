@@ -22,12 +22,7 @@ import numpy as np
 
 from .envs import BanditEnv, check_eps, check_positive, make_env
 from .policies import BIAS_RULES, PolicyBuild, check_clip, make_policy
-from .theory import (
-    GapProfile,
-    InapplicableBound,
-    max_pulls_huber_ucb_simplified,
-    max_pulls_seq_huber_ucb,
-)
+from .theory import GapProfile, max_pulls_huber_ucb_simplified, max_pulls_seq_huber_ucb
 
 __all__ = [
     "ExperimentConfig",
@@ -103,6 +98,10 @@ class ExperimentConfig:
             self.exp3_clip = check_clip(self.exp3_clip)
         if self.sweep_axis is not None and self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
+        if not isinstance(self.overlay, bool):
+            raise ValueError(f"overlay must be true or false, got {self.overlay!r}")
 
     def resolved(self) -> "ExperimentConfig":
         """A copy with preset-dependent defaults filled in for unset fields."""
@@ -177,6 +176,7 @@ class RegretCurve:
     mean_pulls: np.ndarray
     gaps: np.ndarray
     reps: int
+    arm_params: tuple = ()  # the robust index policies' HuberParams, one per arm
 
     @property
     def final(self) -> float:
@@ -252,6 +252,7 @@ def monte_carlo_regret(
         mean_pulls=mean_pulls,
         gaps=env.gaps.copy(),
         reps=cfg.reps,
+        arm_params=build.arm_params,
     )
 
 
@@ -300,11 +301,7 @@ def bound_overlay(config: ExperimentConfig, env: BanditEnv | None = None) -> np.
         if gap == 0.0:
             continue
         profile = GapProfile(gap, arm_cfg.sigma, arm_cfg.eps)
-        try:
-            values = np.array([bound_fn(int(t), profile, arm_cfg) for t in steps])
-        except InapplicableBound:
-            values = np.full(cfg.horizon, math.inf)
-        overlay = overlay + gap * values
+        overlay = overlay + gap * bound_fn(steps, profile, arm_cfg)
     return overlay
 
 
@@ -321,7 +318,7 @@ def write_results(
     """CSV of per-step curves plus a JSON sidecar with the full configuration.
 
     Floats are written with 17 significant digits so a reparse reproduces the
-    arrays bit-exactly.
+    arrays bit-exactly.  The sidecar lists each curve's arms: beta, sigma, beta_valid.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -343,7 +340,9 @@ def write_results(
         "config": config.to_dict() if config is not None else None,
         "base_seed": config.seed if config is not None else None,
         "curves": [
-            {"label": c.label, "reps": c.reps, "final_regret": c.final}
+            {"label": c.label, "reps": c.reps, "final_regret": c.final,
+             "arms": [{"beta": a.beta, "sigma": a.sigma, "beta_valid": a.beta_valid}
+                      for a in c.arm_params]}
             for c in curves
         ],
     }

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import confidence
-from .confidence import HuberParams, chebyshev_p
+from .confidence import HuberParams, chebyshev_p, huber_bias_bound
 from .envs import BanditEnv, check_positive
 from .estimators import (
     SequentialHuber,
@@ -327,8 +327,8 @@ SIGMA_FLOOR = 1e-12
 # Bias rule -> bound on |inlier mean - Huber functional| from an arm's sigma and beta.
 BIAS_RULES = {
     "zero": lambda sigma, beta: 0.0,
-    "second_moment": lambda sigma, beta: 2.0 * sigma * sigma / beta,
-    "half_second_moment": lambda sigma, beta: sigma * sigma / beta,
+    "second_moment": huber_bias_bound,
+    "half_second_moment": lambda sigma, beta: 0.5 * huber_bias_bound(sigma, beta),
 }
 
 

@@ -2,7 +2,8 @@
 
 These functions evaluate statements as printed, without reconciling the
 looser simplified variants against the sharp ones; each carries its own
-shifted-gap definition.  ``inf`` encodes regimes where no finite bound exists.
+shifted-gap definition.  ``inf`` encodes regimes where no finite bound exists;
+no function here raises or warns for a value outside its validity region.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .envs import check_eps, check_positive
 
 __all__ = [
     "GapProfile",
-    "InapplicableBound",
     "student_kl_bound",
     "corrupted_bernoulli_pair",
     "corrupted_bernoulli_kl",
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-
-class InapplicableBound(ValueError):
-    """A regret bound whose shifted gap is nonpositive: no finite value exists."""
 
 
 @dataclass(frozen=True)
@@ -146,18 +142,19 @@ def corrupted_bernoulli_kl_bounds(
     ``(g/(2 sigma)) ln(1 + 2 g / (2 sigma - g))`` with ``g = gap (1 - eps) -
     2 eps sigma``: that is the form the derivation actually establishes, and
     the only one that dominates the exact two-point KL throughout the window.
+    It is evaluated from ``r = gap / sigma`` alone, also at subnormal inputs, as
+    ``(s/2) ln(1 + 2 s / (2 - s))`` with ``s = g / sigma = r (1 - eps) - 2 eps``.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
-    shifted = GapProfile(gap, sigma, eps).corrupted_gap
+    GapProfile(gap, sigma, eps)  # checks gap and sigma
     uniform = (1.0 - 2.0 * eps) * math.log1p((1.0 - 2.0 * eps) / eps)
     low_threshold = 2.0 * sigma * eps / math.sqrt(1.0 - 2.0 * eps)
     low_flag = gap <= low_threshold
     high = None
     if low_threshold < gap < 2.0 * sigma:
-        high = (shifted / (2.0 * sigma)) * math.log1p(
-            2.0 * shifted / (2.0 * sigma - shifted)
-        )
+        s = gap / sigma * (1.0 - eps) - 2.0 * eps
+        high = (s / 2.0) * math.log1p(2.0 * s / (2.0 - s))
     return uniform, high, low_flag
 
 
@@ -225,23 +222,29 @@ def _second_entry(cfg: HuberParams) -> float:
     return 4.0 / (cfg.gap * cfg.gap) * cfg.explore_k * cfg.explore_k
 
 
-def max_pulls_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:
-    """Expected suboptimal pulls of the batch-estimator index policy by step n.
+def _log_steps(n):
+    """``ln n`` for a step count, or per step for an array of them, each by ``math.log``
+    (``np.log`` rounds a few integers differently, which would move recorded overlays)."""
+    if np.any(np.asarray(n) < 1):
+        raise ValueError("n must be >= 1")
+    return np.array([math.log(t) for t in np.asarray(n).tolist()]) if np.ndim(n) else math.log(n)
 
-    Shifted gap ``(delta - 2 bias)(p - eps) - 8 beta eps`` must be positive.
+
+def max_pulls_huber_ucb(n, gap: GapProfile, cfg: HuberParams):
+    """Expected suboptimal pulls of the batch-estimator index policy by step n (or each step).
+
+    ``inf`` unless the shifted gap ``(delta - 2 bias)(p - eps) - 8 beta eps`` is positive.
     The branch threshold ``12 sigma^2 / beta * (sqrt(2) + 2 (beta/sigma) proxy)^2``
     selects the large-gap form below it being exceeded, the variance-driven
     form otherwise (ties go to the variance-driven form).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    log_n = _log_steps(n)
     shifted = gap.shifted_gap(cfg.p, cfg.beta, cfg.bias)
     if shifted <= 0:
-        raise InapplicableBound("shifted gap must be positive; bound inapplicable")
+        return log_n * 0.0 + INF  # inapplicable, at every step
     sigma, beta = cfg.sigma, cfg.beta
     mix = math.sqrt(2.0) + 2.0 * (beta / sigma) * cfg.eps_proxy
     threshold = 12.0 * sigma * sigma / beta * mix * mix
-    log_n = math.log(n)
     if shifted > threshold:
         lead = 32.0 * beta / (3.0 * shifted)
     else:
@@ -249,21 +252,20 @@ def max_pulls_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:
     return log_n * max(lead, _second_entry(cfg)) + 10.0 * (log_n + 1.0)
 
 
-def _max_pulls_explicit(n, gap: GapProfile, cfg: HuberParams, spread, large, small, tail) -> float:
+def _max_pulls_explicit(n, gap: GapProfile, cfg: HuberParams, spread, large, small, tail):
     """Pull bound on the shifted gap ``delta (p - eps) - 32 sigma eps``, with printed constants.
 
     Branch threshold ``spread * sigma (1 + 4 sqrt(2) proxy)^2``; ``large`` and
     ``small`` are each branch's (coefficient, floor); ``tail`` multiplies ``ln n + 1``.
+    ``inf`` where the shifted gap is nonpositive; an array ``n`` reuses the constants.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    log_n = _log_steps(n)
     sigma = cfg.sigma
     shifted = gap.delta * (cfg.p - cfg.eps) - 32.0 * sigma * cfg.eps
     if shifted <= 0:
-        raise InapplicableBound("shifted gap must be positive; bound inapplicable")
+        return log_n * 0.0 + INF  # inapplicable, at every step
     proxy = cfg.eps_proxy
     threshold = spread * sigma * (1.0 + 4.0 * math.sqrt(2.0) * proxy) ** 2
-    log_n = math.log(n)
     if shifted > threshold:
         coeff, floor = large
         lead = max(sigma / shifted, floor)
@@ -273,7 +275,7 @@ def _max_pulls_explicit(n, gap: GapProfile, cfg: HuberParams, spread, large, sma
     return coeff * log_n * lead + tail * (log_n + 1.0)
 
 
-def max_pulls_huber_ucb_simplified(n: int, gap: GapProfile, cfg: HuberParams) -> float:
+def max_pulls_huber_ucb_simplified(n, gap: GapProfile, cfg: HuberParams):
     """Looser explicit-constant form for symmetric inliers with beta = 4 sigma.
 
     Uses its own shifted gap ``delta (p - eps) - 32 sigma eps``.  Valid (as a
@@ -283,7 +285,7 @@ def max_pulls_huber_ucb_simplified(n: int, gap: GapProfile, cfg: HuberParams) ->
     return _max_pulls_explicit(n, gap, cfg, 6.0, (43.0, 10.0), (23.0, 18.0), 10.0)
 
 
-def max_pulls_seq_huber_ucb(n: int, gap: GapProfile, cfg: HuberParams) -> float:
+def max_pulls_seq_huber_ucb(n, gap: GapProfile, cfg: HuberParams):
     """Suboptimal-pull bound for the streaming-estimator policy.
 
     Shifted gap ``delta (p - eps) - 32 sigma eps``; branch threshold

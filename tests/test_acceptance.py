@@ -7,7 +7,6 @@ session fixtures shared across the per-clause tests.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -278,19 +277,17 @@ def figure_battery():
     ]
     curves: dict = {}
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for env, eps in settings:
-            for policy in COMPARED_POLICIES:
-                cfg = ExperimentConfig(
-                    env=env,
-                    eps_true=eps,
-                    policy=policy,
-                    horizon=HORIZON,
-                    reps=REPS,
-                    seed=20240,
-                )
-                curves[(env, eps, policy)] = monte_carlo_regret(cfg, n_jobs=N_JOBS)
+    for env, eps in settings:
+        for policy in COMPARED_POLICIES:
+            cfg = ExperimentConfig(
+                env=env,
+                eps_true=eps,
+                policy=policy,
+                horizon=HORIZON,
+                reps=REPS,
+                seed=20240,
+            )
+            curves[(env, eps, policy)] = monte_carlo_regret(cfg, n_jobs=N_JOBS)
     elapsed = time.perf_counter() - start
     print(f"\n[battery] {len(settings) * len(COMPARED_POLICIES)} configs, {elapsed:.0f}s")
     for env, eps in settings:
@@ -395,9 +392,7 @@ def test_criterion_6_beta_sweep():
         sweep_axis="beta_mult",
         sweep_values=[0.5, 1.0, 2.0, 4.0, 5.0, 8.0, 16.0],
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        family = sweep(cfg, n_jobs=N_JOBS)
+    family = sweep(cfg, n_jobs=N_JOBS)
     finals = {value: curve.final for value, curve in family}
     best = min(finals, key=finals.get)
     elapsed = time.perf_counter() - start
@@ -419,22 +414,20 @@ def test_criterion_6_beta_sweep():
 
 def test_criterion_7_bound_sanity():
     checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for eps in (0.0, 0.01, 0.02, 0.03, 0.04):
-            for p in (0.75, 0.85, 0.95, 1.0):
-                for sigma in (0.5, 1.0, 2.0):
-                    cfg = HuberParams(beta=4 * sigma, sigma=sigma, eps=eps, p=p)
-                    for mult in (0.5, 1.0, 2.0, 4.0, 10.0, 40.0, 200.0, 1000.0):
-                        delta = mult * sigma
-                        if delta * (p - eps) - 32 * sigma * eps <= 0:
-                            continue
-                        gap = GapProfile(delta, sigma, eps)
-                        for n in (10, 1000, 10**6):
-                            sharp = max_pulls_huber_ucb(n, gap, cfg)
-                            loose = max_pulls_huber_ucb_simplified(n, gap, cfg)
-                            assert sharp <= loose * (1 + 1e-12), (eps, p, sigma, mult, n)
-                            checked += 1
+    for eps in (0.0, 0.01, 0.02, 0.03, 0.04):
+        for p in (0.75, 0.85, 0.95, 1.0):
+            for sigma in (0.5, 1.0, 2.0):
+                cfg = HuberParams(beta=4 * sigma, sigma=sigma, eps=eps, p=p)
+                for mult in (0.5, 1.0, 2.0, 4.0, 10.0, 40.0, 200.0, 1000.0):
+                    delta = mult * sigma
+                    if delta * (p - eps) - 32 * sigma * eps <= 0:
+                        continue
+                    gap = GapProfile(delta, sigma, eps)
+                    for n in (10, 1000, 10**6):
+                        sharp = max_pulls_huber_ucb(n, gap, cfg)
+                        loose = max_pulls_huber_ucb_simplified(n, gap, cfg)
+                        assert sharp <= loose * (1 + 1e-12), (eps, p, sigma, mult, n)
+                        checked += 1
     assert checked >= 1000
 
     # affine in ln n within each branch

@@ -1,12 +1,13 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from corrupted_bandits import cli
 from corrupted_bandits.cli import main
-from corrupted_bandits.envs import PRESETS
+from corrupted_bandits.envs import PRESETS, make_env
 from corrupted_bandits.estimators import huber_estimate, mad_scale, median_of_means
 from corrupted_bandits.harness import SWEEP_AXES, read_results
 
@@ -155,6 +156,51 @@ class TestSweep:
         assert not out.exists()
 
 
+def _sidecar_arms(out):
+    return [c["arms"] for c in json.loads(out.with_suffix(".meta.json").read_text())["curves"]]
+
+
+class TestValidityAsData:
+    """beta < 4 sigma and a nonpositive shifted gap are output values, never warnings."""
+
+    @pytest.mark.parametrize("policy", ["huber_ucb", "seq_huber_ucb"])
+    @pytest.mark.parametrize("env", sorted(PRESETS))
+    def test_overlay_run_warns_nothing(self, tmp_path, env, policy):
+        out = tmp_path / "res.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eps in ("0", "0.05"):
+                assert main(["run", "--env", env, "--policy", policy, "--eps-true", eps,
+                             "--horizon", "50", "--reps", "1", "--overlay",
+                             "--out", str(out)]) == 0
+                (arms,) = _sidecar_arms(out)
+                assert len(arms) == make_env(env, 0.0).k
+
+    @pytest.mark.parametrize("env, valid", [("bernoulli", False), ("weibull", True)])
+    def test_sidecar_flags_each_arm(self, tmp_path, env, valid):
+        out = tmp_path / "res.csv"
+        main(["run", "--env", env, "--policy", "huber_ucb", "--horizon", "20", "--reps", "1",
+              "--out", str(out)])
+        (arms,) = _sidecar_arms(out)
+        sigmas = make_env(env, 0.0).sigmas
+        assert [a["beta_valid"] for a in arms] == [valid] * len(sigmas)
+        assert [a["sigma"] for a in arms] == pytest.approx(list(sigmas))
+        assert all(a["beta"] >= 4.0 * a["sigma"] for a in arms) is valid
+
+    def test_sidecar_flags_follow_the_sweep_point(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--env", "weibull", "--policy", "seq_huber_ucb", "--horizon", "20",
+              "--reps", "1", "--axis", "beta_mult", "--values", "1,4", "--out", str(out)])
+        below, at = _sidecar_arms(out)
+        assert [a["beta_valid"] for a in below] == [False] * 3
+        assert [a["beta_valid"] for a in at] == [True] * 3
+
+    def test_other_policies_list_no_arms(self, tmp_path):
+        out = tmp_path / "res.csv"
+        main(["run", "--policy", "ucb1", "--horizon", "20", "--reps", "1", "--out", str(out)])
+        assert _sidecar_arms(out) == [[]]
+
+
 class TestBounds:
     def test_kl_table(self, tmp_path):
         out = tmp_path / "kl.csv"
@@ -292,6 +338,24 @@ class TestBoundaryExits:
         cfg_path.write_text(json.dumps({"horizon": 20, "reps": 1, **entries}))
         out = tmp_path / "res.csv"
         message = _exits_with_one_line(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert message.startswith("invalid config") and words in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entries, words",
+        [
+            ({"policy": "ucb1", "out": 5}, "out must be a path string"),
+            ({"policy": "ucb1", "overlay": "false"}, "overlay must be true or false"),
+            ({"policy": "huber_ucb", "overlay": 1}, "overlay must be true or false"),
+        ],
+        ids=["out-number", "overlay-string", "overlay-number"],
+    )
+    def test_config_file_out_and_overlay_types(self, tmp_path, no_runs, entries, words):
+        # A numeric out failed in write_results after the whole run; "false" was truthy.
+        out = tmp_path / "res.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"horizon": 20, "reps": 1, "out": str(out), **entries}))
+        message = _exits_with_one_line(["run", "--config", str(cfg_path)])
         assert message.startswith("invalid config") and words in message
         assert not out.exists()
 

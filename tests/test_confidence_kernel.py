@@ -10,7 +10,6 @@ constant folded in a different order fails here.
 import dataclasses
 import math
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +22,6 @@ from corrupted_bandits.envs import PRESETS
 from corrupted_bandits.estimators import floor_pow2
 from corrupted_bandits.harness import ExperimentConfig, resolve
 from corrupted_bandits.policies import HuberUCB, SeqHuberUCB
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 INF = math.inf
 
@@ -152,9 +149,7 @@ def preset_params():
         for eps in (0.0, 0.03, 0.05):
             for policy in ("huber_ucb", "seq_huber_ucb"):
                 config = ExperimentConfig(env=env, eps_true=eps, policy=policy, horizon=10, reps=1)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)  # beta < 4 sigma
-                    arm_params = resolve(config)[2].arm_params
+                arm_params = resolve(config)[2].arm_params
                 params += [pytest.param(cfg, id=f"{env}-{eps}-{policy}-arm{arm}")
                            for arm, cfg in enumerate(arm_params)]
     return params

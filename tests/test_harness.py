@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -57,11 +56,9 @@ class TestRunEpisode:
 
     def test_huber_forced_exploration_first_pulls_distinct(self):
         env = make_env("student", 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, _, build = resolve(
-                ExperimentConfig(env="student", policy="huber_ucb", horizon=50, beta_mult=1.0), env
-            )
+        _, _, build = resolve(
+            ExperimentConfig(env="student", policy="huber_ucb", horizon=50, beta_mult=1.0), env
+        )
         result = run_episode(env, build, seed=2)
         assert set(result.actions[:3]) == {0, 1, 2}
 
@@ -235,9 +232,7 @@ class TestSweep:
             sweep_values=[0.01, 0.05],
             reps=2,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            curves = sweep(cfg)
+        curves = sweep(cfg)
         assert len(curves) == 2
         assert curves[0][1].label != curves[1][1].label
 
@@ -254,9 +249,7 @@ class TestSweep:
             reps=2,
             horizon=100,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            curves = sweep(cfg)
+        curves = sweep(cfg)
         assert len(curves) == 2
 
 
@@ -271,15 +264,13 @@ class TestStreamingPolicySpeed:
         env = make_env("bernoulli", 0.05)
         horizon = 2**14
         times = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for policy in ("huber_ucb", "seq_huber_ucb"):
-                config = ExperimentConfig(env="bernoulli", eps_true=0.05, policy=policy,
-                                          horizon=horizon, eps_assumed=0.05, beta_mult=0.1)
-                _, _, build = resolve(config, env)
-                start = time.perf_counter()
-                run_episode(env, build, seed=77)
-                times[policy] = time.perf_counter() - start
+        for policy in ("huber_ucb", "seq_huber_ucb"):
+            config = ExperimentConfig(env="bernoulli", eps_true=0.05, policy=policy,
+                                      horizon=horizon, eps_assumed=0.05, beta_mult=0.1)
+            _, _, build = resolve(config, env)
+            start = time.perf_counter()
+            run_episode(env, build, seed=77)
+            times[policy] = time.perf_counter() - start
         ratio = times["huber_ucb"] / times["seq_huber_ucb"]
         print(
             f"\n[info] n=2^14 single-core episode: huber_ucb {times['huber_ucb']:.2f}s, "
@@ -326,18 +317,14 @@ class TestOverlay:
         cfg = ExperimentConfig(
             env="pareto", eps_true=0.0, policy="huber_ucb", horizon=300, reps=1, beta_mult=4.0
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            overlay = bound_overlay(cfg)
+        overlay = bound_overlay(cfg)
         assert overlay.shape == (300,)
         assert np.all(np.isfinite(overlay))
         assert np.all(np.diff(overlay) >= -1e-9)
 
     def test_overlay_inf_when_bound_inapplicable(self):
         cfg = ExperimentConfig(env="bernoulli", eps_true=0.05, policy="huber_ucb", horizon=100, reps=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            overlay = bound_overlay(cfg)
+        overlay = bound_overlay(cfg)
         assert np.all(np.isinf(overlay))
 
     def test_overlay_only_for_robust_policies(self):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -446,12 +445,10 @@ class TestMakePolicy:
     def test_bias_rules(self):
         env = make_env("pareto", 0.0)
         builds = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for rule in ("zero", "half_second_moment", "second_moment"):
-                config = ExperimentConfig(env="pareto", policy="huber_ucb", beta_mult=1.5,
-                                          bias_rule=rule)
-                builds[rule] = resolve(config, env)[2].arm_params
+        for rule in ("zero", "half_second_moment", "second_moment"):
+            config = ExperimentConfig(env="pareto", policy="huber_ucb", beta_mult=1.5,
+                                      bias_rule=rule)
+            builds[rule] = resolve(config, env)[2].arm_params
         zero, half, full = builds["zero"], builds["half_second_moment"], builds["second_moment"]
         sigma = env.sigmas[0]
         assert zero[0].bias == 0.0
@@ -465,11 +462,9 @@ class TestMakePolicy:
 
     def test_build_roundtrip(self):
         env = make_env("student", 0.05)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            config = ExperimentConfig(env="student", eps_true=0.05, policy="huber_ucb",
-                                      horizon=100, eps_assumed=0.05, beta_mult=1.0)
-            build = resolve(config, env)[2]
+        config = ExperimentConfig(env="student", eps_true=0.05, policy="huber_ucb",
+                                  horizon=100, eps_assumed=0.05, beta_mult=1.0)
+        build = resolve(config, env)[2]
         pol = build.build()
         assert isinstance(pol, HuberUCB)
         assert pol.k == 3
@@ -550,7 +545,6 @@ def _build_or_error(build, *args, **kwargs):
         return f"ValueError: {exc}"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # beta < 4 sigma on several presets
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 @pytest.mark.parametrize("env_name", sorted(PRESETS))
 def test_recipe_matches_the_relayed_parameters(env_name, policy):

@@ -31,8 +31,8 @@ MACHINE_EPS = 2.0**-52
 
 reals = st.floats(-1e6, 1e6)
 samples = st.lists(reals, min_size=1, max_size=40)
-# Positive normal floats: below sys.float_info.min both forms of the lower
-# bound lose their precision to subnormal arithmetic (see the xfail below).
+# Positive normal floats: below sys.float_info.min the reference closed form
+# loses its precision to subnormal arithmetic (see the scale-free test below).
 positive_normal = st.floats(min_value=sys.float_info.min, allow_infinity=False)
 # Clipping thresholds from far below to far above the spread of the samples.
 betas = st.floats(1e-6, 1e9)
@@ -124,8 +124,8 @@ def test_min_pulls_bernoulli_matches_closed_form(gap, sigma, eps):
     try:
         expected = _min_pulls_bernoulli_reference(gap, sigma, eps)
     except ZeroDivisionError:
-        # The reference's denominator underflowed; the KL control is divided
-        # by 2 sigma first, so it is either a positive float or 0 (bound inf).
+        # The reference's denominator underflowed; the KL control is computed
+        # from gap / sigma, so it is either a positive float or 0 (bound inf).
         assert min_pulls_bernoulli(gap, sigma, eps) > 0.0
         return
     rel = 1e-12
@@ -136,10 +136,9 @@ def test_min_pulls_bernoulli_matches_closed_form(gap, sigma, eps):
     assert min_pulls_bernoulli(gap, sigma, eps) == pytest.approx(expected, rel=rel)
 
 
-@pytest.mark.xfail(strict=True, reason="subnormal gap and sigma lose the corrupted gap's precision")
 def test_min_pulls_bernoulli_is_scale_free_at_subnormal_inputs():
-    # The bound depends on gap / sigma alone, but gap (1 - eps) - 2 eps sigma
-    # is evaluated in subnormal arithmetic: 1.82 here against 31.8 at unit scale.
+    # The bound depends on gap / sigma alone; evaluating gap (1 - eps) - 2 eps
+    # sigma in subnormal arithmetic gave 1.82 here against 31.8 at unit scale.
     tiny = 5e-324
     assert min_pulls_bernoulli(tiny, tiny, 0.25) == pytest.approx(min_pulls_bernoulli(1.0, 1.0, 0.25))
 
@@ -235,22 +234,24 @@ bias_rules = st.one_of(st.sampled_from(sorted(BIAS_RULES)), st.text(max_size=12)
 clips = st.lists(st.floats(), min_size=2, max_size=3)
 horizons = st.one_of(st.integers(max_value=50), st.floats(max_value=50))
 file_seeds = st.one_of(st.integers(), st.floats())
+overlays = st.one_of(st.booleans(), st.none(), st.integers(), st.text(max_size=6))
 
 
 @given(st.sampled_from(sorted(PRESETS)), st.sampled_from(POLICY_NAMES), p_modes, p_values,
-       bias_rules, clips, horizons, file_seeds)
+       bias_rules, clips, horizons, file_seeds, overlays)
 # Each of these failed inside the first episode, with a traceback.
-@example("bernoulli", "exp3", "chebyshev", None, "zero", [1.0, 0.0], 20, 0)
-@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0, 2.0], 20, 0)
-@example("bernoulli", "exp3", "chebyshev", None, "zero", [-math.inf, math.inf], 20, 0)
-@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0], 20.5, 0)
-@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0], 20, 1.5)
-@example("bernoulli", "huber_ucb", "explicit", 1e-200, "zero", [0.0, 1.0], 20, 0)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [1.0, 0.0], 20, 0, False)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0, 2.0], 20, 0, False)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [-math.inf, math.inf], 20, 0, False)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0], 20.5, 0, False)
+@example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0], 20, 1.5, False)
+@example("bernoulli", "huber_ucb", "explicit", 1e-200, "zero", [0.0, 1.0], 20, 0, False)
 def test_config_file_never_tracebacks(tmp_path_factory, env, policy, p_mode, p_value, bias_rule,
-                                      clip, horizon, seed):
+                                      clip, horizon, seed, overlay):
     base = tmp_path_factory.getbasetemp()
     config = {"env": env, "policy": policy, "p_mode": p_mode, "p_value": p_value,
-              "bias_rule": bias_rule, "exp3_clip": clip, "horizon": horizon, "seed": seed}
+              "bias_rule": bias_rule, "exp3_clip": clip, "horizon": horizon, "seed": seed,
+              "overlay": overlay}
     (base / "config.json").write_text(json.dumps(config))
     _exits_cleanly(["run", f"--config={base / 'config.json'}", "--reps=1", "--jobs=1",
                     f"--out={base / 'config_run.csv'}"])

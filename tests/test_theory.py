@@ -228,17 +228,9 @@ class TestGapProfile:
         assert GapProfile(1.0, 1.0, 0.05).shifted_gap(0.9, 4.0, bias=0.1) < base
 
 
-def quiet_params(**kw):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return HuberParams(**kw)
-
-
 class TestUpperBounds:
     def test_n_equals_one(self):
-        cfg = quiet_params(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
+        cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
         gap = GapProfile(8.0, 1.0, 0.0)
         assert max_pulls_huber_ucb(1, gap, cfg) == pytest.approx(10.0)
         assert max_pulls_seq_huber_ucb(1, GapProfile(30.0, 1.0, 0.0), cfg) == pytest.approx(28.0)
@@ -246,7 +238,7 @@ class TestUpperBounds:
     def test_branch_threshold_is_small_gap(self):
         # eps=0: threshold = 24 sigma^2 / beta = 6; delta = 8, p = 0.75 gives
         # shifted gap exactly 6.0 -> the <= branch applies.
-        cfg = quiet_params(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
+        cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
         gap = GapProfile(8.0, 1.0, 0.0)
         n = 100
         log_n = math.log(n)
@@ -256,7 +248,7 @@ class TestUpperBounds:
         assert max_pulls_huber_ucb(n, gap, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_large_gap_branch_oracle(self):
-        cfg = quiet_params(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
+        cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
         gap = GapProfile(20.0, 1.0, 0.0)  # shifted = 15 > threshold 6
         n = 1000
         log_n = math.log(n)
@@ -266,7 +258,7 @@ class TestUpperBounds:
         assert max_pulls_huber_ucb(n, gap, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_seq_branch_threshold(self):
-        cfg = quiet_params(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
+        cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
         gap = GapProfile(24.0, 1.0, 0.0)  # shifted = 18 == threshold -> small branch
         n = 50
         log_n = math.log(n)
@@ -274,20 +266,40 @@ class TestUpperBounds:
         assert max_pulls_seq_huber_ucb(n, gap, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_inapplicable_below_zero_shifted_gap(self):
-        cfg = quiet_params(beta=4.0, sigma=1.0, eps=0.1, p=0.75)
-        with pytest.raises(ValueError):
-            max_pulls_huber_ucb(100, GapProfile(0.1, 1.0, 0.1), cfg)
-        with pytest.raises(ValueError):
-            max_pulls_seq_huber_ucb(100, GapProfile(0.1, 1.0, 0.1), cfg)
+        cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.1, p=0.75)
+        gap = GapProfile(0.1, 1.0, 0.1)
+        for bound in (max_pulls_huber_ucb, max_pulls_huber_ucb_simplified,
+                      max_pulls_seq_huber_ucb):
+            assert bound(100, gap, cfg) == INF
+            assert np.array_equal(bound(np.arange(1, 4), gap, cfg), np.full(3, INF))
+
+    def test_step_array_matches_scalar_steps(self):
+        # one evaluation over an array of steps equals the per-step values bit for bit
+        steps = np.arange(1, 3001)
+        for eps, delta in ((0.0, 0.5), (0.0, 30.0), (0.02, 2.0), (0.02, 100.0)):
+            cfg = HuberParams(beta=4.0, sigma=1.0, eps=eps, p=0.9)
+            gap = GapProfile(delta, 1.0, eps)
+            for bound in (max_pulls_huber_ucb, max_pulls_huber_ucb_simplified,
+                          max_pulls_seq_huber_ucb):
+                per_step = [bound(int(t), gap, cfg) for t in steps]
+                assert np.array_equal(bound(steps, gap, cfg), per_step)
+
+    @pytest.mark.parametrize("n", [0, np.arange(0, 3)], ids=["zero", "array"])
+    def test_rejects_steps_below_one(self, n):
+        cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
+        for bound in (max_pulls_huber_ucb, max_pulls_huber_ucb_simplified,
+                      max_pulls_seq_huber_ucb):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                bound(n, GapProfile(8.0, 1.0, 0.0), cfg)
 
     def test_nondecreasing_in_n(self):
-        cfg = quiet_params(beta=4.0, sigma=1.0, eps=0.02, p=0.9)
+        cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.02, p=0.9)
         gap = GapProfile(2.0, 1.0, 0.02)
         values = [max_pulls_huber_ucb(n, gap, cfg) for n in (10, 100, 1000, 10000)]
         assert values == sorted(values)
 
     def test_within_branch_monotone_in_gap(self):
-        cfg = quiet_params(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
+        cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
         # large-gap branch, first entry dominant only for very large gaps;
         # compare points where the gap-dependent entry is active
         v_small = max_pulls_huber_ucb(1000, GapProfile(0.4, 1.0, 0.0), cfg)
@@ -301,7 +313,7 @@ class TestUpperBounds:
         for eps in (0.0, 0.01, 0.02, 0.03, 0.04):
             for p in (0.75, 0.85, 0.95, 1.0):
                 for sigma in (0.5, 1.0, 2.0):
-                    cfg = quiet_params(beta=4 * sigma, sigma=sigma, eps=eps, p=p)
+                    cfg = HuberParams(beta=4 * sigma, sigma=sigma, eps=eps, p=p)
                     for mult in (0.5, 2.0, 10.0, 40.0, 200.0):
                         delta = mult * sigma
                         gap = GapProfile(delta, sigma, eps)
