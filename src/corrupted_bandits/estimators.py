@@ -3,13 +3,15 @@
 The Huber estimate of location is the root of ``sum(psi(x_i - theta)) = 0``
 where ``psi`` clips residuals at ``+/-beta``.  The root is found by monotone
 bisection (the influence sum is nonincreasing in ``theta``) accelerated with
-Newton steps, on a sorted copy of the data so each evaluation costs
-``O(log n)``.
+Newton steps, on a sorted copy of the data with its prefix sums: each
+evaluation finds its unclipped window by bisection on memoryviews of the
+sorted values, so it costs ``O(log n)``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -67,36 +69,24 @@ def default_root_tol(n: int, beta: float) -> float:
     return ROOT_TOL_SCALE * n * max(beta, 1.0)
 
 
-def _influence_sum_sorted(xs: np.ndarray, prefix: np.ndarray, beta: float, theta: float):
+def _window(xs, prefix, n: int, beta: float, theta: float) -> tuple[float, int]:
     """Influence sum and unclipped count at ``theta`` for sorted data.
 
-    ``prefix`` is the cumulative sum of ``xs`` with a leading zero.  The sum is
-    evaluated in O(log n) via binary search for the unclipped window
-    ``[theta - beta, theta + beta]``; both endpoints are inside the window
-    (closed-interval convention).
+    ``xs`` and ``prefix`` are memoryviews of the sorted values and of their
+    cumulative sums with a leading zero; only the first ``n`` values count.
+    The unclipped window ``[theta - beta, theta + beta]`` is found by
+    bisection, with both endpoints inside it (closed-interval convention).
     """
-    i = xs.searchsorted(theta - beta, "left").item()
-    j = xs.searchsorted(theta + beta, "right").item()
-    return _window_sum(prefix, xs.size, beta, theta, i, j), j - i
+    i = bisect_left(xs, theta - beta, 0, n)
+    j = bisect_right(xs, theta + beta, 0, n)
+    inner = (prefix[j] - prefix[i]) - (j - i) * theta
+    return inner + beta * ((n - j) - i), j - i
 
 
-def _window_sum(prefix: np.ndarray, n: int, beta: float, theta: float, i: int, j: int) -> float:
-    """Influence sum at ``theta`` given its unclipped window ``xs[i:j]``."""
-    inner = (prefix.item(j) - prefix.item(i)) - (j - i) * theta
-    return inner + beta * ((n - j) - i)
-
-
-def _huber_root_sorted(
-    xs: np.ndarray,
-    prefix: np.ndarray,
-    beta: float,
-    tol: float,
-    guess: float | None = None,
-) -> float:
-    """Root of the influence equation on pre-sorted data with prefix sums."""
-    n = xs.size
-    sample_lo = lo = xs.item(0)
-    sample_hi = hi = xs.item(n - 1)
+def _huber_root_sorted(xs, prefix, n: int, beta: float, tol: float, guess: float | None = None) -> float:
+    """Root of the influence equation on the first ``n`` sorted values (see :func:`_window`)."""
+    sample_lo = lo = xs[0]
+    sample_hi = hi = xs[n - 1]
     if lo == hi:
         return lo
 
@@ -106,11 +96,7 @@ def _huber_root_sorted(
         for _ in range(40):
             a = max(lo, guess - width)
             b = min(hi, guess + width)
-            ia, ib = xs.searchsorted((a - beta, b - beta), "left").tolist()
-            ja, jb = xs.searchsorted((a + beta, b + beta), "right").tolist()
-            ga = _window_sum(prefix, n, beta, a, ia, ja)
-            gb = _window_sum(prefix, n, beta, b, ib, jb)
-            if ga >= 0.0 >= gb:
+            if _window(xs, prefix, n, beta, a)[0] >= 0.0 >= _window(xs, prefix, n, beta, b)[0]:
                 lo, hi = a, b
                 break
             width *= 8.0
@@ -119,7 +105,7 @@ def _huber_root_sorted(
 
     theta = 0.5 * (lo + hi)
     for _ in range(MAX_SOLVER_ITER):
-        g, m = _influence_sum_sorted(xs, prefix, beta, theta)
+        g, m = _window(xs, prefix, n, beta, theta)
         if abs(g) <= tol:
             # Newton polish: on the piecewise-linear influence sum this lands
             # on the exact root whenever no clip boundary is crossed, so a
@@ -128,7 +114,7 @@ def _huber_root_sorted(
                 if m <= 0 or g == 0.0:
                     break
                 cand = min(max(theta + g / m, sample_lo), sample_hi)
-                g2, m2 = _influence_sum_sorted(xs, prefix, beta, cand)
+                g2, m2 = _window(xs, prefix, n, beta, cand)
                 if abs(g2) < abs(g):
                     theta, g, m = cand, g2, m2
                 else:
@@ -176,7 +162,8 @@ def huber_estimate(samples: Sequence[float] | np.ndarray, beta: float) -> float:
     check_positive(beta, "beta")
     xs = np.sort(x)
     prefix = np.concatenate(([0.0], np.cumsum(xs)))
-    return _huber_root_sorted(xs, prefix, beta, default_root_tol(x.size, beta))
+    n = x.size
+    return _huber_root_sorted(memoryview(xs), memoryview(prefix), n, beta, default_root_tol(n, beta))
 
 
 def catoni_estimate(
@@ -195,12 +182,13 @@ def catoni_estimate(
     return huber_estimate(x, beta)
 
 
+@np.errstate(invalid="ignore")  # inf - inf in a prefix sum or block mean gives nan, silently
 def median_of_means(samples: Sequence[float] | np.ndarray, blocks: int) -> float:
     """Median of block means over contiguous blocks of near-equal size.
 
     The remainder is distributed one extra sample per block from the front.
     The median of an even number of block means is the midpoint of the two
-    central values.
+    central values; it is nan when a block mean is nan.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:

@@ -11,6 +11,7 @@ replications.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -59,32 +60,35 @@ class _ArmBuffer:
     def __init__(self, beta: float, grow: bool = False):
         self.beta = float(beta)
         self.grow = grow
-        self._sorted = np.empty(64, dtype=float)
-        self._prefix = np.zeros(65, dtype=float)
+        self._buffers(np.empty(64, dtype=float), np.zeros(65, dtype=float))
         self.count = 0
         self.value = 0.0
+
+    def _buffers(self, sorted_values: np.ndarray, prefix: np.ndarray) -> None:
+        # Each buffer with a memoryview of it, for the bisections and scalar reads.
+        self._sorted, self._prefix = sorted_values, prefix
+        self._xs, self._ps = memoryview(sorted_values), memoryview(prefix)
 
     def update(self, x: float) -> None:
         n = self.count
         if n == self._sorted.size:
-            self._sorted = _doubled(self._sorted, n)
-            self._prefix = _doubled(self._prefix, n + 1)
-        pos = self._sorted[:n].searchsorted(x).item()
-        self._sorted[pos + 1 : n + 1] = self._sorted[pos:n]
-        self._sorted[pos] = x
+            self._buffers(_doubled(self._sorted, n), _doubled(self._prefix, n + 1))
+        xs = self._xs
+        pos = bisect_left(xs, x, 0, n)
+        xs[pos + 1 : n + 1] = xs[pos:n]  # memoryview copies are memmoves
+        xs[pos] = x
         self.count = n + 1
-        # Only the sums from the insert position on change.  cumsum adds in
-        # order, so seeding it with prefix[pos] gives the full recompute's bits.
+        # Only the sums from the insert position on change.  np.add.accumulate (np.cumsum's
+        # ufunc) adds in order, so seeding it with prefix[pos] gives the full recompute's bits.
+        self._ps[pos + 1 : n + 2] = xs[pos : n + 1]
         tail = self._prefix[pos : n + 2]
-        tail[1:] = self._sorted[pos : n + 1]
-        np.cumsum(tail, out=tail)
+        np.add.accumulate(tail, out=tail)
         beta = self.beta * math.sqrt(self.count) if self.grow else self.beta
         self.value = self.huber_root(beta, self.value)
 
     def huber_root(self, beta: float, guess: float) -> float:
         n = self.count
-        tol = default_root_tol(n, beta)
-        return _huber_root_sorted(self._sorted[:n], self._prefix[: n + 1], beta, tol, guess)
+        return _huber_root_sorted(self._xs, self._ps, n, beta, default_root_tol(n, beta), guess)
 
 
 class _BasePolicy:
@@ -113,13 +117,15 @@ class _BasePolicy:
             return INF
         return self._estimate(arm, t) + bonus
 
+    def _index_pass(self, t: int) -> list[float]:  # every arm's index at step t
+        return [self.arm_index(i, t) for i in range(self.k)]
+
     def indices(self) -> np.ndarray:
-        t = self.t + 1
-        return np.array([self.arm_index(i, t) for i in range(self.k)])
+        return np.array(self._index_pass(self.t + 1))
 
     def select_arm(self, rng: np.random.Generator) -> int:
         t = self.t + 1
-        vals = [self.arm_index(i, t) for i in range(self.k)]
+        vals = self._index_pass(t)
         if any(map(math.isnan, vals)):
             raise ValueError(f"nan arm index at step {t}: {vals}")
         top = max(vals)
@@ -154,7 +160,27 @@ class _BasePolicy:
         return self.estimators[arm].value
 
 
-class HuberUCB(_BasePolicy):
+class _HuberIndexPolicy(_BasePolicy):
+    """Per-arm ``HuberParams`` and ``_estimator``s; :meth:`_index_pass` is the one index rule."""
+
+    def __init__(self, arm_params: Sequence[HuberParams]):
+        super().__init__(len(arm_params))
+        self.params = list(arm_params)
+        self.estimators = [self._estimator(p.beta) for p in self.params]
+
+    def _index_pass(self, t: int) -> list[float]:
+        bonus = getattr(confidence, self._bonus_name)  # through the module, once per pass
+        vals = []
+        for s, cfg, est in zip(self.counts.tolist(), self.params, self.estimators):
+            b = bonus(s, t, cfg) if s else INF
+            vals.append(INF if math.isinf(b) else est.value + b)
+        return vals
+
+    def arm_index(self, arm: int, t: int) -> float:
+        return self._index_pass(t)[arm]
+
+
+class HuberUCB(_HuberIndexPolicy):
     """Index policy on batch Huber estimates with corruption-aware bonuses.
 
     Each arm's parameters (``beta``, ``sigma``, ``eps``, ``p``, ``bias``)
@@ -162,25 +188,13 @@ class HuberUCB(_BasePolicy):
     its full buffer on every update; other arms keep their cached estimates.
     """
 
-    def __init__(self, arm_params: Sequence[HuberParams]):
-        super().__init__(len(arm_params))
-        self.params = list(arm_params)
-        self.estimators = [_ArmBuffer(p.beta) for p in self.params]
-
-    def _bonus(self, arm: int, s: int, t: int) -> float:
-        return confidence.huber_bonus(s, t, self.params[arm])
+    _bonus_name, _estimator = "huber_bonus", _ArmBuffer
 
 
-class SeqHuberUCB(_BasePolicy):
+class SeqHuberUCB(_HuberIndexPolicy):
     """Index policy on streaming Huber estimates with staleness-widened bonuses."""
 
-    def __init__(self, arm_params: Sequence[HuberParams]):
-        super().__init__(len(arm_params))
-        self.params = list(arm_params)
-        self.estimators = [SequentialHuber(p.beta) for p in self.params]
-
-    def _bonus(self, arm: int, s: int, t: int) -> float:
-        return confidence.seq_huber_bonus(s, t, self.params[arm])
+    _bonus_name, _estimator = "seq_huber_bonus", SequentialHuber
 
 
 class UCB1(_BasePolicy):
@@ -273,7 +287,7 @@ class Exp3(_BasePolicy):
     Weights are kept in log space.
     """
 
-    def __init__(self, k: int, horizon: int, clip: tuple[float, float] = (-10.0, 10.0)):
+    def __init__(self, k: int, horizon: int, clip: tuple[float, float]):
         super().__init__(k)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -285,8 +299,11 @@ class Exp3(_BasePolicy):
         self._drawn: np.ndarray | None = None
 
     def probabilities(self) -> np.ndarray:
-        shifted = self.log_weights - self.log_weights.max()
-        w = np.exp(shifted)
+        """Normalised weights; all nan when a log weight is infinite (inf - inf)."""
+        top = self.log_weights.max().item()
+        if math.isinf(top):
+            return np.full(self.k, math.nan)
+        w = np.exp(self.log_weights - top)
         return w / w.sum()
 
     def select_arm(self, rng: np.random.Generator) -> int:

@@ -142,18 +142,21 @@ def corrupted_bernoulli_kl_bounds(
     ``(g/(2 sigma)) ln(1 + 2 g / (2 sigma - g))`` with ``g = gap (1 - eps) -
     2 eps sigma``: that is the form the derivation actually establishes, and
     the only one that dominates the exact two-point KL throughout the window.
-    It is evaluated from ``r = gap / sigma`` alone, also at subnormal inputs, as
-    ``(s/2) ln(1 + 2 s / (2 - s))`` with ``s = g / sigma = r (1 - eps) - 2 eps``.
+    It is evaluated as ``(s/2) ln(1 + 2 s / (2 - s))`` with ``s = g / sigma``
+    exact and rounded once (it cancels near the window's lower end, which is
+    compared exactly as ``gap^2 (1 - 2 eps) <= 4 sigma^2 eps^2``).
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
     GapProfile(gap, sigma, eps)  # checks gap and sigma
-    uniform = (1.0 - 2.0 * eps) * math.log1p((1.0 - 2.0 * eps) / eps)
-    low_threshold = 2.0 * sigma * eps / math.sqrt(1.0 - 2.0 * eps)
-    low_flag = gap <= low_threshold
+    ratio = (1.0 - 2.0 * eps) / eps  # ln(1 + ratio) = ln((1 - eps) / eps); inf for subnormal eps
+    uniform = (1.0 - 2.0 * eps) * (math.log1p(ratio) if ratio < INF else -math.log(eps))
+    from fractions import Fraction  # here, not at import: it loads decimal (about 3 ms)
+    g, sd, e = Fraction(gap), Fraction(sigma), Fraction(eps)
+    low_flag = g * g * (1 - 2 * e) <= 4 * sd * sd * e * e
     high = None
-    if low_threshold < gap < 2.0 * sigma:
-        s = gap / sigma * (1.0 - eps) - 2.0 * eps
+    if not low_flag and gap < 2.0 * sigma:
+        s = float(g / sd * (1 - e) - 2 * e)
         high = (s / 2.0) * math.log1p(2.0 * s / (2.0 - s))
     return uniform, high, low_flag
 

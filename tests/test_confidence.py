@@ -88,6 +88,20 @@ class TestHuberParams:
         assert c.beta_valid is False
         assert HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75).beta_valid is True
 
+    def test_p_of_one_accepted_and_above_rejected(self):
+        assert HuberParams(beta=4.0, sigma=1.0, p=1.0).p == 1.0
+        with pytest.raises(ValueError):
+            HuberParams(beta=4.0, sigma=1.0, p=math.nextafter(1.0, 2.0))
+
+    def test_rejects_p_where_the_squared_gap_underflows(self):
+        # At eps = 0 the gap is p: 128 p^2 is 0 up to this p and positive just above it.
+        p_zero = 1.3892242184281734e-163
+        p_above = math.nextafter(p_zero, 1.0)
+        assert 128.0 * p_zero * p_zero == 0.0 < 128.0 * p_above * p_above
+        with pytest.raises(ValueError, match="128"):
+            HuberParams(beta=4.0, sigma=1.0, p=p_zero)
+        assert HuberParams(beta=4.0, sigma=1.0, p=p_above).explore_denom > 0.0
+
     def test_proxy_derived(self):
         c = cfg(eps=0.1, p=0.75)
         assert c.eps_proxy == corruption_proxy(0.1)

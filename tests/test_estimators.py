@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from corrupted_bandits.estimators import (
+    MAX_SOLVER_ITER,
     HuberSolverError,
     SequentialHuber,
+    _huber_root_sorted,
     catoni_estimate,
     default_root_tol,
     floor_pow2,
@@ -15,6 +17,7 @@ from corrupted_bandits.estimators import (
     mad_scale,
     median_of_means,
 )
+from corrupted_bandits.policies import _ArmBuffer
 
 
 def huber_loss_grid_oracle(samples, beta, lo, hi, coarse=20001, fine=20001):
@@ -153,6 +156,172 @@ class TestHuberEstimate:
             huber_estimate([1.0], 0.0)
 
 
+def _searchsorted_window(xs, prefix, beta, theta, i, j):
+    inner = (prefix.item(j) - prefix.item(i)) - (j - i) * theta
+    return inner + beta * ((xs.size - j) - i)
+
+
+def _searchsorted_root(xs, prefix, beta, tol, guess=None):
+    """The solver in its numpy ``searchsorted`` form, the reference for the bisection form.
+
+    ``xs`` and ``prefix`` are arrays of exactly the sorted values and their
+    cumulative sums with a leading zero.
+    """
+
+    def influence_sum(theta):
+        i = xs.searchsorted(theta - beta, "left").item()
+        j = xs.searchsorted(theta + beta, "right").item()
+        return _searchsorted_window(xs, prefix, beta, theta, i, j), j - i
+
+    n = xs.size
+    sample_lo = lo = xs.item(0)
+    sample_hi = hi = xs.item(n - 1)
+    if lo == hi:
+        return lo
+    if guess is not None and lo < guess < hi:
+        width = max((hi - lo) * 1e-3, beta * 1e-3, 1e-12)
+        for _ in range(40):
+            a = max(lo, guess - width)
+            b = min(hi, guess + width)
+            ia, ib = xs.searchsorted((a - beta, b - beta), "left").tolist()
+            ja, jb = xs.searchsorted((a + beta, b + beta), "right").tolist()
+            ga = _searchsorted_window(xs, prefix, beta, a, ia, ja)
+            gb = _searchsorted_window(xs, prefix, beta, b, ib, jb)
+            if ga >= 0.0 >= gb:
+                lo, hi = a, b
+                break
+            width *= 8.0
+            if a == lo and b == hi:
+                break
+    theta = 0.5 * (lo + hi)
+    for _ in range(MAX_SOLVER_ITER):
+        g, m = influence_sum(theta)
+        if abs(g) <= tol:
+            for _ in range(4):
+                if m <= 0 or g == 0.0:
+                    break
+                cand = min(max(theta + g / m, sample_lo), sample_hi)
+                g2, m2 = influence_sum(cand)
+                if abs(g2) < abs(g):
+                    theta, g, m = cand, g2, m2
+                else:
+                    break
+            return theta
+        if g > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        newton = theta + g / m if m > 0 else None
+        if newton is not None and lo < newton < hi:
+            theta = newton
+        else:
+            theta = 0.5 * (lo + hi)
+    raise HuberSolverError("no root")
+
+
+def _reference_estimate(samples, beta):
+    xs = np.sort(np.asarray(samples, dtype=float).ravel())
+    prefix = np.concatenate(([0.0], np.cumsum(xs)))
+    return _searchsorted_root(xs, prefix, beta, default_root_tol(xs.size, beta))
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+
+
+def _same(a, b):
+    """Equal outcomes: the same exception type, or the same float bits (nan equal to nan)."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+EDGE_INPUTS = [
+    [0.0, 1.0, 2.0, 1e200, 1e200],
+    [0.0, 1.0, 2.0, 3.0, math.inf],
+    [0.0, 1.0, 2.0, 3.0, -math.inf],
+    [0.0, 1.0, 2.0, math.nan],
+    [-math.inf, math.inf],
+    [math.inf, math.inf],
+    [math.nan],
+    [1e308, -1e308, 0.0],
+    [0.0, 1.0, 2.0, 1e308, 1e308],
+    [5.0],
+    [1.0, 1.0, 2.0],
+]
+
+
+class TestSortedSolver:
+    """The bisection-window solver equals its numpy ``searchsorted`` form bit for bit."""
+
+    @pytest.mark.parametrize("beta", [1.0, 1e300])
+    @pytest.mark.parametrize("samples", EDGE_INPUTS, ids=repr)
+    def test_edge_inputs_match_searchsorted_form(self, samples, beta):
+        ours = _outcome(huber_estimate, samples, beta)
+        ref = _outcome(_reference_estimate, samples, beta)
+        assert _same(ours, ref), (ours, ref)
+
+    @staticmethod
+    def streams():
+        rng = np.random.default_rng(7)
+        yield "duplicates", rng.integers(0, 6, size=300) * 0.5, (0.5, 1.0, 1.5)
+        yield "heavy", rng.standard_t(1.5, size=300), (0.1, 1.0, 7.0)
+        scale = 10.0 ** rng.uniform(-300, 300, size=300)
+        yield "magnitudes", rng.choice([-1.0, 1.0], size=300) * scale, (1.0, 1e150, 1e300)
+        mixed = rng.normal(size=300)
+        mixed[4::9] = 1e8
+        yield "outliers", mixed, (0.3, 2.0)
+
+    @pytest.mark.parametrize("name", ["duplicates", "heavy", "magnitudes", "outliers"])
+    def test_views_with_spare_capacity_match_searchsorted_form(self, name):
+        # Views of buffers longer than n, as _ArmBuffer holds them; guesses at
+        # sample points put window edges exactly on samples (ties at both edges).
+        data, betas = next((d, b) for n_, d, b in self.streams() if n_ == name)
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 17, 64, 300):
+            xs = np.sort(data[:n])
+            prefix = np.concatenate(([0.0], np.cumsum(xs)))
+            xs_buf = np.concatenate((xs, np.full(5, np.nan)))
+            prefix_buf = np.concatenate((prefix, np.full(5, np.nan)))
+            for beta in betas:
+                tol = default_root_tol(n, beta)
+                guesses = [None, 0.0, *rng.choice(xs, size=3).tolist(), *(xs[[0, -1]] + beta).tolist()]
+                for guess in guesses:
+                    ours = _outcome(
+                        _huber_root_sorted, memoryview(xs_buf), memoryview(prefix_buf), n, beta, tol, guess
+                    )
+                    ref = _outcome(_searchsorted_root, xs, prefix, beta, tol, guess)
+                    assert _same(ours, ref), (n, beta, guess, ours, ref)
+
+    @pytest.mark.parametrize("grow", [False, True])
+    @pytest.mark.parametrize("name", ["duplicates", "heavy", "magnitudes", "outliers"])
+    def test_arm_buffer_stream_matches_searchsorted_form(self, name, grow):
+        # Each update's root, warm-started at the previous one, through two
+        # buffer doublings; Catoni's threshold grows with the count.
+        data, betas = next((d, b) for n_, d, b in self.streams() if n_ == name)
+        for beta in betas:
+            buf, ref = _ArmBuffer(beta, grow=grow), 0.0
+            for n, x in enumerate(data.tolist(), start=1):
+                raised = _outcome(buf.update, x)
+                ours = buf.value if raised is None else raised
+                xs = np.sort(data[:n])
+                b = beta * math.sqrt(n) if grow else beta
+                prefix = np.concatenate(([0.0], np.cumsum(xs)))
+                ref = _outcome(_searchsorted_root, xs, prefix, b, default_root_tol(n, b), ref)
+                assert _same(ours, ref), (n, beta, ours, ref)
+                if isinstance(ref, type):  # both raised; the stream ends here
+                    break
+
+    def test_two_dimensional_input_is_flattened(self):
+        x = np.array([[0.0, 1.0], [2.0, 10.0]])
+        assert huber_estimate(x, 1.0) == huber_estimate([0.0, 1.0, 2.0, 10.0], 1.0)
+        assert huber_estimate(x, 1.0) == _reference_estimate(x, 1.0)
+
+
 class TestCatoni:
     def test_shared_solver_on_symmetric_data(self):
         x = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -221,7 +390,8 @@ class TestMedianOfMeans:
         # +inf and -inf in the last block make its mean nan.
         x = np.random.default_rng(5).normal(size=12)
         x[-2:] = [math.inf, -math.inf]
-        assert math.isnan(np.median(self.numpy_block_means(x, blocks)))
+        with np.errstate(invalid="ignore"):  # the reference's own inf - inf
+            assert math.isnan(np.median(self.numpy_block_means(x, blocks)))
         assert math.isnan(median_of_means(x, blocks))
 
     def test_validation(self):
@@ -300,6 +470,23 @@ class TestSequentialHuber:
         s.update(50.0)  # still outside the clip window
         assert s.psi_prime_sum == 0.0
         assert s.value == anchor
+
+    def test_zero_denominator_returns_anchor_for_numpy_samples(self):
+        # With numpy floats the correction psi_sum / 0 would be inf, not an error.
+        s = SequentialHuber(1.0)
+        for x in np.array([0.0, 10.0, 50.0]):
+            s.update(x)
+        assert s.psi_prime_sum == 0.0 and s.psi_sum != 0.0
+        assert s.value == s.anchor
+
+    def test_overshoot_clamped_to_largest_sample(self):
+        # The anchor of the first four, -48855.5, has no sample within beta;
+        # the Newton step from the last two lands at +48854, above every sample.
+        s = SequentialHuber(48855.0)
+        for x in [0.0, 0.0, -97711.0, -97711.0, 0.0, -1.0]:
+            s.update(x)
+        assert s.anchor + s.psi_sum / s.psi_prime_sum > s.hi == 0.0
+        assert s.value == 0.0
 
     def test_correction_arithmetic(self):
         s = SequentialHuber(1.0)

@@ -364,3 +364,19 @@ class TestResultsIO:
         )
         header = decorated.read_text().splitlines()[0]
         assert header.split(",") == ["step", "policy", "mean_regret", "stderr", "bound_overlay"]
+
+    def test_overlay_column_read_back(self, tmp_path):
+        # Each curve's overlay comes back bit for bit, inf included; a curve
+        # written without one gets no bound_overlay entry.
+        cfg = tiny_config(reps=2)
+        curve = monte_carlo_regret(cfg)
+        other = monte_carlo_regret(tiny_config(reps=2, seed=6))
+        other.label = "other"
+        overlay = np.linspace(0.1, 7.0, cfg.horizon) ** 1.5
+        overlay[-1] = np.inf
+        path = tmp_path / "out.csv"
+        write_results([curve, other], path, overlays={"ucb1": overlay}, config=cfg)
+        back = read_results(path)
+        assert np.array_equal(back["ucb1"]["bound_overlay"], overlay)
+        assert np.array_equal(back["ucb1"]["mean_regret"], curve.mean)
+        assert "bound_overlay" not in back["other"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from corrupted_bandits import confidence
 from corrupted_bandits.confidence import HuberParams, exploration_threshold
 from corrupted_bandits.envs import PRESETS, make_env
 from corrupted_bandits.estimators import floor_pow2, huber_estimate, median_of_means
@@ -335,6 +336,35 @@ class TestArmBufferPrefix:
         assert buf._sorted.size == 256
 
 
+@pytest.mark.parametrize("policy", ["huber_ucb", "seq_huber_ucb"])
+@pytest.mark.parametrize("env_name, eps", [("student", 0.05), ("bernoulli", 0.0)])
+def test_index_pass_equals_arm_index_over_an_episode(policy, env_name, eps):
+    # Every step of a whole episode: the pass select_arm uses, arm_index per
+    # arm, indices() and the rule written out from the confidence module agree
+    # bit for bit.
+    env = make_env(env_name, eps)
+    build = resolve(ExperimentConfig(env=env_name, eps_true=eps, policy=policy, horizon=1500), env)[2]
+    pol = build.build()
+    bonus = getattr(confidence, {"huber_ucb": "huber_bonus", "seq_huber_ucb": "seq_huber_bonus"}[policy])
+    streams = [np.random.Generator(np.random.Philox([9, 0, i])) for i in range(env.k + 1)]
+    finite = 0
+    for _ in range(build.horizon):
+        t = pol.t + 1
+        vals = pol._index_pass(t)
+        assert vals == [pol.arm_index(i, t) for i in range(pol.k)]
+        assert np.array_equal(pol.indices(), np.array(vals))
+        expected = []
+        for arm, cfg in enumerate(pol.params):
+            s = pol.counts.item(arm)
+            b = bonus(s, t, cfg) if s else INF
+            expected.append(INF if math.isinf(b) else pol.estimators[arm].value + b)
+        assert vals == expected
+        finite += all(map(math.isfinite, vals))
+        arm = pol.select_arm(streams[env.k])
+        pol.update(arm, env.arms[arm].sample(streams[arm])[0])
+    assert finite > 0
+
+
 def test_spanned_policy_classes_are_unrelated():
     # Per-class timing wrappers around select_arm and update would nest if one
     # of these classes inherited another's methods.
@@ -346,7 +376,7 @@ def test_spanned_policy_classes_are_unrelated():
 
 class TestExp3:
     def test_uniform_initial_probabilities(self):
-        pol = Exp3(4, horizon=100)
+        pol = Exp3(4, horizon=100, clip=(-10.0, 10.0))
         assert np.allclose(pol.probabilities(), 0.25)
 
     def test_zero_rewards_keep_uniform(self):
@@ -367,23 +397,34 @@ class TestExp3:
         assert np.all(pol.probabilities() > 0)
 
     def test_learning_rate(self):
-        pol = Exp3(3, horizon=5000)
+        pol = Exp3(3, horizon=5000, clip=(-10.0, 10.0))
         assert pol.eta == pytest.approx(math.sqrt(math.log(3) / (3 * 5000)))
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_draw_matches_choice(self, k):
         for seed in range(200):
-            pol = Exp3(k, horizon=100)
+            pol = Exp3(k, horizon=100, clip=(-10.0, 10.0))
             pol.log_weights[:] = np.random.default_rng(seed).normal(scale=3.0, size=k)
             ours, ref = rng_for(seed), rng_for(seed)
             assert pol.select_arm(ours) == ref.choice(k, p=pol.probabilities())
             assert ours.random() == ref.random()
 
     def test_nan_probabilities_rejected(self):
-        pol = Exp3(3, horizon=100)
+        pol = Exp3(3, horizon=100, clip=(-10.0, 10.0))
         pol.log_weights[1] = INF
         with pytest.raises(ValueError, match="nan"):
             pol.select_arm(rng_for(0))
+
+    @pytest.mark.parametrize(
+        "log_weights, expected",
+        [([1000.0, 1000.0, 999.0], np.exp([0.0, 0.0, -1.0]) / (2.0 + math.exp(-1.0))),
+         ([1e308, 1e308, 0.0], [0.5, 0.5, 0.0])],
+    )
+    def test_probabilities_near_the_float_range(self, log_weights, expected):
+        # Shifting by the largest log weight keeps exp in range; adding it would overflow.
+        pol = Exp3(3, horizon=100, clip=(-10.0, 10.0))
+        pol.log_weights[:] = log_weights
+        assert pol.probabilities() == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_rewards_clipped(self):
         pol = Exp3(2, horizon=10, clip=(0.0, 1.0))
@@ -435,6 +476,21 @@ class TestResolveP:
         assert resolve_p("chebyshev", None, 1.0, 0.1, 0.05) == 0.75
         # crowded floor moves to the midpoint of (5 eps, 1)
         assert resolve_p("chebyshev", None, 1.0, 0.1, 0.16) == pytest.approx((1 + 0.8) / 2)
+
+    def test_floor_switches_at_five_eps_three_quarters(self):
+        # 5 eps = 0.75 exactly: the floor is the midpoint of (5 eps, 1), since
+        # 3/4 itself would not exceed 5 eps.
+        eps = 0.15
+        assert 5.0 * eps == 0.75
+        assert resolve_p("chebyshev", None, 1.0, 0.1, eps) == 0.875
+        assert resolve_p("chebyshev", None, 1.0, 0.1, math.nextafter(eps, 0.0)) == 0.75
+
+    def test_resolved_p_of_exactly_one_is_accepted(self):
+        assert resolve_p("explicit", 1.0, 1.0, 4.0, 0.05) == 1.0
+        # Chebyshev rounds to 1 when 4 sigma^2 / beta^2 is below half an ulp of 1.
+        assert resolve_p("chebyshev", None, 1e-12, 1.0, 0.05) == 1.0
+        with pytest.raises(ValueError):
+            resolve_p("explicit", math.nextafter(1.0, 2.0), 1.0, 4.0, 0.05)
 
     def test_chebyshev_rejects_heavy_corruption(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -27,7 +28,6 @@ from corrupted_bandits.harness import SWEEP_AXES
 from corrupted_bandits.policies import BIAS_RULES, POLICY_NAMES, _ArmBuffer
 from corrupted_bandits.theory import min_pulls_bernoulli
 
-MACHINE_EPS = 2.0**-52
 
 reals = st.floats(-1e6, 1e6)
 samples = st.lists(reals, min_size=1, max_size=40)
@@ -109,31 +109,32 @@ def test_sequential_huber_equals_batch_at_powers_of_two(xs, beta):
             assert est.value == huber_estimate(xs[:n], beta)
 
 
-def _min_pulls_bernoulli_reference(gap, sigma, eps):
-    """The lower bound's closed form as it stood before it read the KL controls."""
-    if gap >= 2.0 * sigma:
-        return 1.0 / ((1.0 - 2.0 * eps) * math.log((1.0 - eps) / eps))
-    if gap <= 2.0 * sigma * eps / math.sqrt(1.0 - 2.0 * eps):
-        return math.inf
-    shifted = gap * (1.0 - eps) - 2.0 * eps * sigma
-    return 2.0 * sigma / (shifted * math.log1p(2.0 * shifted / (2.0 * sigma - shifted)))
+def _min_pulls_bernoulli_exact(gap, sigma, eps):
+    """The lower bound's closed form in 50-digit arithmetic on the exact float inputs."""
+    with mpmath.workdps(50):
+        g, s, e = mpmath.mpf(gap), mpmath.mpf(sigma), mpmath.mpf(eps)
+        if g >= 2 * s:
+            return 1 / ((1 - 2 * e) * mpmath.log((1 - e) / e))
+        if g <= 2 * s * e / mpmath.sqrt(1 - 2 * e):
+            return mpmath.inf
+        shifted = g * (1 - e) - 2 * e * s
+        return 2 * s / (shifted * mpmath.log1p(2 * shifted / (2 * s - shifted)))
 
 
 @given(positive_normal, positive_normal, st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+# Found at 20,000 examples against the old float reference: its shifted *
+# log1p product overflowed (returned 0.0), and went subnormal (lost digits).
+@example(7.208e307, 3.868e307, 0.03125)
+@example(2.57e-284, 5.88e-247, 5.88e-247)
+# Found against this oracle: (1 - 2 eps) / eps overflowed for a subnormal eps;
+# 2 sigma overflowed inside the window's lower end; and s = (gap / sigma)
+# (1 - eps) - 2 eps cancelled to no correct digit next to that end.
+@example(2.0, 1.0, 5e-324)
+@example(6.355805030768232e307, 8.98846567431158e307, 0.25)
+@example(1.175494351e-38, 0.4999999999999999, 1.175494351e-38)
 def test_min_pulls_bernoulli_matches_closed_form(gap, sigma, eps):
-    try:
-        expected = _min_pulls_bernoulli_reference(gap, sigma, eps)
-    except ZeroDivisionError:
-        # The reference's denominator underflowed; the KL control is computed
-        # from gap / sigma, so it is either a positive float or 0 (bound inf).
-        assert min_pulls_bernoulli(gap, sigma, eps) > 0.0
-        return
-    rel = 1e-12
-    if gap >= 2.0 * sigma:
-        # The reference rounds (1 - eps) / eps before its log; near eps = 1/2
-        # that costs it about one ulp of the quotient per unit of the log.
-        rel += 4.0 * MACHINE_EPS / math.log((1.0 - eps) / eps)
-    assert min_pulls_bernoulli(gap, sigma, eps) == pytest.approx(expected, rel=rel)
+    exact = _min_pulls_bernoulli_exact(gap, sigma, eps)
+    assert min_pulls_bernoulli(gap, sigma, eps) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_min_pulls_bernoulli_is_scale_free_at_subnormal_inputs():

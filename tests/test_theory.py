@@ -108,11 +108,14 @@ class TestExactKL:
 
 class TestKLBounds:
     def test_low_regime_boundary_closed(self):
-        sigma, eps = 1.0, 0.2
-        threshold = 2 * sigma * eps / math.sqrt(1 - 2 * eps)
-        _, high, low = corrupted_bernoulli_kl_bounds(threshold, sigma, eps)
+        # At eps = 0.375 the boundary 2 sigma eps / sqrt(1 - 2 eps) is exactly 1.5 sigma.
+        sigma, eps = 1.0, 0.375
+        _, high, low = corrupted_bernoulli_kl_bounds(1.5, sigma, eps)
         assert low is True
         assert high is None
+        _, high, low = corrupted_bernoulli_kl_bounds(math.nextafter(1.5, 2.0), sigma, eps)
+        assert low is False
+        assert high > 0.0
 
     def test_window_and_flags(self):
         sigma, eps = 1.0, 0.2
