@@ -161,8 +161,9 @@ def huber_estimate(samples: Sequence[float] | np.ndarray, beta: float) -> float:
         raise ValueError("samples must be nonempty")
     check_positive(beta, "beta")
     xs = np.sort(x)
-    prefix = np.concatenate(([0.0], np.cumsum(xs)))
     n = x.size
+    prefix = np.zeros(n + 1)
+    np.cumsum(xs, out=prefix[1:])
     return _huber_root_sorted(memoryview(xs), memoryview(prefix), n, beta, default_root_tol(n, beta))
 
 
@@ -188,7 +189,8 @@ def median_of_means(samples: Sequence[float] | np.ndarray, blocks: int) -> float
 
     The remainder is distributed one extra sample per block from the front.
     The median of an even number of block means is the midpoint of the two
-    central values; it is nan when a block mean is nan.
+    central values; it is nan when a block mean is nan.  It is clamped into
+    the samples' range, which a rounded block mean ``sum / size`` can leave.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -209,9 +211,8 @@ def median_of_means(samples: Sequence[float] | np.ndarray, blocks: int) -> float
         # the sort puts nan last; np.median returns nan as well
         return math.nan
     half = blocks // 2
-    if blocks % 2:
-        return means.item(half)
-    return (means.item(half - 1) + means.item(half)) / 2.0
+    value = means.item(half) if blocks % 2 else (means.item(half - 1) + means.item(half)) / 2.0
+    return min(max(value, float(x.min())), float(x.max()))
 
 
 def mad_scale(samples: Sequence[float] | np.ndarray) -> float:
@@ -284,9 +285,8 @@ class SequentialHuber:
             self.anchor = huber_estimate(buf, self.beta)
             self.solver_samples += t
             self.psi_sum = 0.0
-            self.psi_prime_sum = float(
-                np.count_nonzero(np.abs(buf - self.anchor) <= self.beta)
-            )
+            resid = buf - self.anchor
+            self.psi_prime_sum = float(np.count_nonzero(np.abs(resid, out=resid) <= self.beta))
         else:
             r = x - self.anchor
             self.psi_sum += min(max(r, -self.beta), self.beta)

@@ -14,8 +14,10 @@ import json
 import math
 import numbers
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,8 @@ PRESET_DEFAULTS = {
 }
 
 SWEEP_AXES = ("beta_mult", "eps_assumed", "eps_true")
+
+_AGG_ROWS, _WRITE_ROWS = 4096, 1024  # rows per block of aggregate's mean and of the CSV
 
 # Policy name -> the per-arm pull bound its regret overlay is built from.
 OVERLAY_BOUNDS = {
@@ -197,28 +201,34 @@ def aggregate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-step mean regret, its standard error, and the final mean pull counts.
 
-    Pull counts are summed over replications one ``(horizon, k)`` array at a
-    time, so memory stays at ``reps * horizon`` for the per-replication
-    regret.  The mean regret at step ``t`` is the gap-weighted mean count,
-    one ``1 x k`` product per step.
+    Memory stays at a few horizon-length columns: one reused ``(horizon, k)``
+    counts buffer and ``reps`` regret columns.  Each replication's regret is one
+    product over the whole horizon, since BLAS rounds a row differently
+    depending on how the rows are split.  The mean is summed in row blocks, one
+    ``1 x k`` product per step, which rounds like a dot product in any block.
     """
     reps, horizon, k = len(actions_by_rep), actions_by_rep[0].size, gaps.size
     eye = np.eye(k)
-    total = np.zeros((horizon, k))
     per_rep = np.empty((reps, horizon))
+    counts = np.empty((horizon, k))
     for m, actions in enumerate(actions_by_rep):
-        counts = np.cumsum(eye[actions], axis=0)
-        total += counts
-        per_rep[m] = counts @ gaps
-    mean_counts = total / reps
-    # A batched 1 x k product per step rounds like a plain dot product; one
-    # matrix-vector product over all steps does not, in the last bits.
-    mean = (mean_counts[:, None, :] @ gaps[:, None])[:, 0, 0]
+        np.take(eye, actions, axis=0, out=counts)
+        np.cumsum(counts, axis=0, out=counts)
+        np.matmul(counts, gaps, out=per_rep[m])
+    del counts
     if reps > 1:
         stderr = per_rep.std(axis=0, ddof=1) / math.sqrt(reps)
     else:
         stderr = np.zeros(horizon)
-    return mean, stderr, mean_counts[-1]
+    mean = np.empty(horizon)
+    carry = np.zeros(k)  # summed counts up to the block; exact integers, as are all counts
+    for start in range(0, horizon, _AGG_ROWS):
+        total = sum(eye[actions[start:start + _AGG_ROWS]] for actions in actions_by_rep)
+        total[0] += carry
+        carry = np.cumsum(total, axis=0, out=total)[-1].copy()
+        total /= reps
+        mean[start:start + _AGG_ROWS] = (total[:, None, :] @ gaps[:, None])[:, 0, 0]
+    return mean, stderr, carry / reps
 
 
 def monte_carlo_regret(
@@ -301,7 +311,7 @@ def bound_overlay(config: ExperimentConfig, env: BanditEnv | None = None) -> np.
         if gap == 0.0:
             continue
         profile = GapProfile(gap, arm_cfg.sigma, arm_cfg.eps)
-        overlay = overlay + gap * bound_fn(steps, profile, arm_cfg)
+        overlay += gap * bound_fn(steps, profile, arm_cfg)
     return overlay
 
 
@@ -318,7 +328,8 @@ def write_results(
     """CSV of per-step curves plus a JSON sidecar with the full configuration.
 
     Floats are written with 17 significant digits so a reparse reproduces the
-    arrays bit-exactly.  The sidecar lists each curve's arms: beta, sigma, beta_valid.
+    arrays bit-exactly; rows go out in blocks, so memory does not grow with the
+    horizon.  The sidecar lists each curve's arms: beta, sigma, beta_valid.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -331,11 +342,14 @@ def write_results(
         writer.writerow(header)
         for curve in curves:
             overlay = overlays.get(curve.label)
-            for i, step in enumerate(curve.steps):
-                row = [int(step), curve.label, _fmt(curve.mean[i]), _fmt(curve.stderr[i])]
-                if overlays:
-                    row.append(_fmt(overlay[i]) if overlay is not None else "")
-                writer.writerow(row)
+            columns = [curve.mean, curve.stderr] + ([] if overlay is None else [overlay])
+            blank = [repeat("")] if overlays and overlay is None else []
+            if any(len(column) != len(curve.steps) for column in columns):
+                raise ValueError(f"curve {curve.label!r}: each column needs one value per step")
+            for start in range(0, len(curve.steps), _WRITE_ROWS):
+                rows = slice(start, start + _WRITE_ROWS)
+                writer.writerows(zip(curve.steps[rows].tolist(), repeat(curve.label),
+                                     *(map(_fmt, c[rows].tolist()) for c in columns), *blank))
     meta = {
         "config": config.to_dict() if config is not None else None,
         "base_seed": config.seed if config is not None else None,
@@ -352,20 +366,29 @@ def write_results(
 
 
 def read_results(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
-    """Reparse a results CSV into per-label arrays (bit-exact round trip)."""
-    out: dict[str, dict[str, list[float]]] = {}
+    """Reparse a results CSV into per-label arrays (bit-exact round trip).
+
+    Values go into typed ``array`` buffers, shared by the returned int64 ``step`` and
+    float64 columns; ``bound_overlay`` appears only for a curve with values."""
+    out: dict[str, tuple[array, ...]] = {}
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            entry = out.setdefault(
-                row["policy"], {"step": [], "mean_regret": [], "stderr": [], "bound_overlay": []}
-            )
-            entry["step"].append(int(row["step"]))
-            entry["mean_regret"].append(float(row["mean_regret"]))
-            entry["stderr"].append(float(row["stderr"]))
-            if row.get("bound_overlay"):
-                entry["bound_overlay"].append(float(row["bound_overlay"]))
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        if not header:
+            return {}
+        i_step, i_label, i_mean, i_err = map(
+            header.index, ("step", "policy", "mean_regret", "stderr"))
+        i_bound = header.index("bound_overlay") if "bound_overlay" in header else None
+        for row in filter(None, rows):  # skip blank lines
+            step, mean, err, bound = out.get(row[i_label]) or out.setdefault(
+                row[i_label], tuple(map(array, "qddd")))
+            step.append(int(row[i_step]))
+            mean.append(float(row[i_mean]))
+            err.append(float(row[i_err]))
+            if i_bound is not None and row[i_bound]:
+                bound.append(float(row[i_bound]))
+    names = ("step", "mean_regret", "stderr", "bound_overlay")
     return {
-        label: {key: np.asarray(vals) for key, vals in entry.items() if vals}
-        for label, entry in out.items()
+        label: {name: np.frombuffer(col, col.typecode) for name, col in zip(names, cols) if col}
+        for label, cols in out.items()
     }

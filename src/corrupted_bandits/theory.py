@@ -227,10 +227,12 @@ def _second_entry(cfg: HuberParams) -> float:
 
 def _log_steps(n):
     """``ln n`` for a step count, or per step for an array of them, each by ``math.log``
-    (``np.log`` rounds a few integers differently, which would move recorded overlays)."""
-    if np.any(np.asarray(n) < 1):
+    (``np.log`` rounds a few integers differently, which would move recorded overlays);
+    an array feeds ``np.fromiter`` step by step, with no list of the steps in between."""
+    steps = np.asarray(n)
+    if np.any(steps < 1):
         raise ValueError("n must be >= 1")
-    return np.array([math.log(t) for t in np.asarray(n).tolist()]) if np.ndim(n) else math.log(n)
+    return np.fromiter(map(math.log, steps), float, steps.size) if steps.ndim else math.log(n)
 
 
 def max_pulls_huber_ucb(n, gap: GapProfile, cfg: HuberParams):
@@ -275,7 +277,12 @@ def _max_pulls_explicit(n, gap: GapProfile, cfg: HuberParams, spread, large, sma
     else:
         coeff, floor = small
         lead = max(sigma * sigma / (shifted * shifted) * (1.0 + 32.0 * proxy * proxy), floor)
-    return coeff * log_n * lead + tail * (log_n + 1.0)
+    out = coeff * log_n  # coeff * log_n * lead + tail * (log_n + 1.0), in place
+    out *= lead
+    log_n += 1.0
+    log_n *= tail
+    out += log_n
+    return out
 
 
 def max_pulls_huber_ucb_simplified(n, gap: GapProfile, cfg: HuberParams):

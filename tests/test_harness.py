@@ -1,4 +1,7 @@
+import csv
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,6 +219,18 @@ class TestAggregate:
             for name, a, b in zip(("mean", "stderr", "mean_pulls"), got, want):
                 assert np.array_equal(a, b), (name, k, reps, horizon)
 
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_bit_identical_across_row_blocks(self, k):
+        # 70,000 steps span many of aggregate's row blocks, with a partial last one
+        rng = np.random.Generator(np.random.Philox([22, k]))
+        gaps = rng.uniform(0.0, 2.0, size=k)
+        gaps[0] = 0.0
+        actions = [rng.choice(k, size=70_000, p=rng.dirichlet(np.ones(k))) for _ in range(5)]
+        got = aggregate(actions, gaps)
+        want = reference_aggregate(actions, gaps)
+        for name, a, b in zip(("mean", "stderr", "mean_pulls"), got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
 
 class TestSweep:
     def test_single_value_equals_plain_run(self):
@@ -380,3 +395,147 @@ class TestResultsIO:
         assert np.array_equal(back["ucb1"]["bound_overlay"], overlay)
         assert np.array_equal(back["ucb1"]["mean_regret"], curve.mean)
         assert "bound_overlay" not in back["other"]
+
+
+def reference_write_rows(curves, path, overlays=None):
+    """The CSV body as a per-row ``csv.writer`` loop writes it (no sidecar)."""
+    overlays = overlays or {}
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["step", "policy", "mean_regret", "stderr"]
+        if overlays:
+            header.append("bound_overlay")
+        writer.writerow(header)
+        for curve in curves:
+            overlay = overlays.get(curve.label)
+            for i, step in enumerate(curve.steps):
+                row = [int(step), curve.label, fmt(curve.mean[i]), fmt(curve.stderr[i])]
+                if overlays:
+                    row.append(fmt(overlay[i]) if overlay is not None else "")
+                writer.writerow(row)
+
+
+def reference_read(path):
+    """The CSV reparsed through ``csv.DictReader`` into lists, then arrays."""
+    out = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            entry = out.setdefault(
+                row["policy"], {"step": [], "mean_regret": [], "stderr": [], "bound_overlay": []}
+            )
+            entry["step"].append(int(row["step"]))
+            entry["mean_regret"].append(float(row["mean_regret"]))
+            entry["stderr"].append(float(row["stderr"]))
+            if row.get("bound_overlay"):
+                entry["bound_overlay"].append(float(row["bound_overlay"]))
+    return {
+        label: {key: np.asarray(vals) for key, vals in entry.items() if vals}
+        for label, entry in out.items()
+    }
+
+
+def random_curve(label, horizon, rng):
+    """A curve of awkward floats: 17-digit values, -0.0, inf and nan."""
+    mean = np.cumsum(rng.exponential(size=horizon)) * 1e-3
+    stderr = rng.standard_t(1.5, size=horizon) ** 2
+    stderr[:3] = (-0.0, np.inf, np.nan)
+    return RegretCurve(label=label, steps=np.arange(1, horizon + 1), mean=mean, stderr=stderr,
+                       mean_pulls=np.zeros(3), gaps=np.zeros(3), reps=2)
+
+
+class TestResultsBytes:
+    # 2500 rows cross two of the writer's row blocks and end in a partial one.
+    HORIZON = 2500
+
+    @pytest.fixture
+    def curves(self):
+        rng = np.random.Generator(np.random.Philox([23]))
+        return [random_curve("a,b", self.HORIZON, rng), random_curve('q"x', self.HORIZON, rng)]
+
+    @pytest.mark.parametrize("with_overlay", [True, False])
+    def test_bytes_and_reparse_match_row_loop(self, tmp_path, curves, with_overlay):
+        overlays = None
+        if with_overlay:
+            overlay = np.linspace(0.5, 90.0, self.HORIZON) ** 1.7
+            overlay[-2:] = np.inf
+            overlays = {"a,b": overlay}  # the second curve has none
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_results(curves, got, overlays=overlays)
+        reference_write_rows(curves, want, overlays=overlays)
+        assert got.read_bytes() == want.read_bytes()
+        back, expected = read_results(got), reference_read(want)
+        assert list(back) == list(expected) == ["a,b", 'q"x']
+        for label, columns in expected.items():
+            assert list(back[label]) == list(columns)
+            for key, values in columns.items():
+                assert back[label][key].dtype == values.dtype, (label, key)
+                assert np.array_equal(back[label][key], values, equal_nan=True), (label, key)
+
+    @pytest.mark.parametrize("length", [HORIZON - 1, HORIZON + 1])
+    def test_overlay_of_another_length_rejected(self, tmp_path, curves, length):
+        with pytest.raises(ValueError, match="one value per step"):
+            write_results(curves, tmp_path / "out.csv", overlays={"a,b": np.ones(length)})
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn``'s result and the peak of memory it held above its start, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """Peak memory after the episodes, in horizon-length float64 columns."""
+
+    HORIZON = 200_000
+    COLUMN = HORIZON * 8
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """A 2-rep, 3-arm run at HORIZON: its actions, config, curve, overlay and CSV."""
+        rng = np.random.Generator(np.random.Philox([24]))
+        gaps = np.array([0.5, 0.25, 0.0])
+        actions = [rng.choice(3, size=self.HORIZON, p=[0.1, 0.3, 0.6]) for _ in range(2)]
+        config = ExperimentConfig(env="weibull", policy="seq_huber_ucb", horizon=self.HORIZON,
+                                  reps=2)
+        mean, stderr, pulls = aggregate(actions, gaps)
+        curve = RegretCurve(label="seq_huber_ucb", steps=np.arange(1, self.HORIZON + 1),
+                            mean=mean, stderr=stderr, mean_pulls=pulls, gaps=gaps, reps=2)
+        overlay = bound_overlay(config)
+        path = tmp_path_factory.mktemp("memory") / "run.csv"
+        write_results([curve], path, overlays={curve.label: overlay})
+        return SimpleNamespace(actions=actions, gaps=gaps, config=config, curve=curve,
+                               overlay=overlay, path=path)
+
+    def test_aggregate(self, run):
+        _, peak = traced_peak(aggregate, run.actions, run.gaps)
+        assert peak <= 10 * self.COLUMN
+
+    def test_bound_overlay(self, run):
+        overlay, peak = traced_peak(bound_overlay, run.config)
+        assert np.all(np.isfinite(overlay))
+        assert peak <= 7 * self.COLUMN
+
+    def test_read_results(self, run):
+        back, peak = traced_peak(read_results, run.path)
+        assert len(back["seq_huber_ucb"]) == 4
+        assert peak <= 6 * self.COLUMN
+
+    @pytest.mark.parametrize("horizon", [1000, 50_000])
+    def test_write_results_is_flat_in_the_horizon(self, run, tmp_path, horizon):
+        curve, rows = run.curve, slice(0, horizon)
+        short = RegretCurve(label=curve.label, steps=curve.steps[rows], mean=curve.mean[rows],
+                            stderr=curve.stderr[rows], mean_pulls=curve.mean_pulls,
+                            gaps=curve.gaps, reps=2)
+        _, peak = traced_peak(write_results, [short], tmp_path / "out.csv",
+                              overlays={curve.label: run.overlay[rows]})
+        assert peak <= 2**20
