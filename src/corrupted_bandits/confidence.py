@@ -1,6 +1,9 @@
-"""Closed-form confidence machinery for Huber-based bandit indices.
+"""Closed-form confidence machinery for the bandit indices.
 
-Everything here is a pure function of scalar parameters.  Infinite values are
+Everything here is a pure function of scalar parameters.  Each index policy
+adds one bonus ``bonus(s, t, cfg)`` from here to its estimate: ``cfg`` is an
+arm's ``HuberParams`` for the Huber pair, its sigma for the Catoni and
+median-of-means baselines, and unused by UCB1.  Infinite values are
 meaningful: a radius or bonus of ``inf`` marks a configuration outside the
 validity region of the underlying deviation bound (too few samples, or a
 confidence level below the admissible floor) and triggers forced exploration
@@ -28,6 +31,9 @@ __all__ = [
     "huber_bias_bound",
     "huber_bonus",
     "seq_huber_bonus",
+    "ucb1_bonus",
+    "catoni_bonus",
+    "mom_bonus",
 ]
 
 INF = math.inf
@@ -243,3 +249,18 @@ def seq_huber_bonus(s: int, t: int, cfg: HuberParams) -> float:
         return INF
     delta = 1.0 / (t * t)
     return _seq_radius(s, anchor, delta, -math.log(delta), cfg) + cfg.bias
+
+
+def ucb1_bonus(s: int, t: int, cfg: None) -> float:
+    """UCB1's ``sqrt(2 ln t / s)`` for ``s >= 1`` pulls at step ``t``; ``cfg`` is unused."""
+    return math.sqrt(2.0 * math.log(t) / s)
+
+
+def catoni_bonus(s: int, t: int, sigma: float) -> float:
+    """The Catoni baseline's ``sigma sqrt(8 ln t / s)`` for ``s >= 1`` pulls at step ``t``."""
+    return sigma * math.sqrt(8.0 * math.log(t) / s)
+
+
+def mom_bonus(s: int, t: int, sigma: float) -> float:
+    """The median-of-means baseline's ``12 sigma sqrt(ln t / s)`` for ``s >= 1`` pulls at step ``t``."""
+    return 12.0 * sigma * math.sqrt(math.log(t) / s)

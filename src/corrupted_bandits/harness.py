@@ -206,13 +206,17 @@ def aggregate(
     product over the whole horizon, since BLAS rounds a row differently
     depending on how the rows are split.  The mean is summed in row blocks, one
     ``1 x k`` product per step, which rounds like a dot product in any block.
+    An action outside ``[0, k)`` raises ``ValueError``.
     """
     reps, horizon, k = len(actions_by_rep), actions_by_rep[0].size, gaps.size
     eye = np.eye(k)
     per_rep = np.empty((reps, horizon))
     counts = np.empty((horizon, k))
     for m, actions in enumerate(actions_by_rep):
-        np.take(eye, actions, axis=0, out=counts)
+        # Checked here so that take can write into counts: its default mode buffers the output.
+        if actions.min() < 0 or actions.max() >= k:
+            raise ValueError(f"replication {m} has an action outside [0, {k})")
+        np.take(eye, actions, axis=0, out=counts, mode="clip")
         np.cumsum(counts, axis=0, out=counts)
         np.matmul(counts, gaps, out=per_rep[m])
     del counts

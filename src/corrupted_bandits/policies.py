@@ -1,8 +1,10 @@
 """Bandit policies sharing one interaction contract.
 
-Every policy exposes ``select_arm(rng) -> int`` and ``update(arm, reward)``;
-index policies rank arms by estimate-plus-bonus with uniform random
-tie-breaking, and an infinite bonus always wins (forced exploration).
+Every policy exposes ``select_arm(rng) -> int`` and ``update(arm, reward)``.
+The five index policies share one rule: each holds an estimator per arm and
+names a bonus closed form in :mod:`confidence`; an arm's index is its
+estimate plus its bonus, ``inf`` for an unpulled arm or an infinite bonus,
+which always wins (forced exploration).  Ties break uniformly at random.
 
 One policy instance serves one episode; state is never shared across
 replications.
@@ -91,14 +93,43 @@ class _ArmBuffer:
         return _huber_root_sorted(self._xs, self._ps, n, beta, default_root_tol(n, beta), guess)
 
 
-class _BasePolicy:
-    """Counts, step bookkeeping, the index rule, and argmax selection with random tie-breaking.
+class _RunningMean:
+    """One arm's sample mean, kept as a running total."""
 
-    An index policy holds one estimator per arm in ``estimators`` (each with
-    ``update(x)`` and ``value``) and defines ``_bonus(arm, s, t)``, which
-    :meth:`arm_index` adds to the estimate.  Policies with other per-arm state
-    define their own ``update(arm, reward)`` and ``_estimate(arm, t)``.
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.value = 0.0
+
+    def update(self, x: float) -> None:
+        self.count += 1
+        self.total += x
+        self.value = self.total / self.count
+
+
+class _RewardLog:
+    """One arm's rewards in arrival order, which block means depend on.
+
+    The policy sets ``value`` from them at ``blocks`` blocks; 0 blocks marks it stale.
     """
+
+    def __init__(self):
+        self.rewards = np.empty(64, dtype=float)
+        self.count = 0
+        self.blocks = 0
+        self.value = 0.0
+
+    def update(self, x: float) -> None:
+        n = self.count
+        if n == self.rewards.size:
+            self.rewards = _doubled(self.rewards, n)
+        self.rewards[n] = x
+        self.count = n + 1
+        self.blocks = 0
+
+
+class _BasePolicy:
+    """Pull counts, the step counter and the checks on each recorded pull."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -107,18 +138,52 @@ class _BasePolicy:
         self.t = 0
         self.counts = np.zeros(k, dtype=np.int64)
 
-    def arm_index(self, arm: int, t: int) -> float:
-        """``inf`` for an unpulled arm or an infinite bonus, else estimate plus bonus."""
-        s = self.counts.item(arm)
-        if s == 0:
-            return INF
-        bonus = self._bonus(arm, s, t)
-        if math.isinf(bonus):
-            return INF
-        return self._estimate(arm, t) + bonus
+    def _record(self, arm: int, reward: float) -> None:
+        if not 0 <= arm < self.k:
+            raise IndexError("arm out of range")
+        if math.isnan(reward):
+            raise ValueError(f"reward for arm {arm} is nan")
+        self.counts[arm] += 1
+        self.t += 1
 
-    def _index_pass(self, t: int) -> list[float]:  # every arm's index at step t
-        return [self.arm_index(i, t) for i in range(self.k)]
+
+class _IndexPolicy(_BasePolicy):
+    """An estimator and parameters per arm, a bonus closed form, and the one index rule.
+
+    ``estimators[arm]`` has ``update(x)`` and ``value``.  The bonus is the
+    function named ``_bonus_name`` in :mod:`confidence`, called as
+    ``bonus(s, t, params[arm])``.  A policy whose estimate depends on the step
+    defines ``_estimate(arm, t)``, which sets and returns ``estimators[arm].value``
+    for step ``t``; it runs for every pulled arm before each pass.
+    """
+
+    _estimate = None
+
+    def __init__(self, arm_params: Sequence, estimators: list):
+        super().__init__(len(estimators))
+        self.params = list(arm_params)
+        self.estimators = estimators
+
+    def update(self, arm: int, reward: float) -> None:
+        self._record(arm, reward)
+        self.estimators[arm].update(reward)
+
+    def _index_pass(self, t: int) -> list[float]:
+        """Every arm's index at step t: ``inf`` if unpulled or its bonus is, else estimate plus bonus."""
+        bonus = getattr(confidence, self._bonus_name)  # through the module, once per pass
+        counts = self.counts.tolist()
+        if self._estimate is not None:
+            for arm, s in enumerate(counts):
+                if s:
+                    self._estimate(arm, t)
+        vals = []
+        for s, cfg, est in zip(counts, self.params, self.estimators):
+            b = bonus(s, t, cfg) if s else INF
+            vals.append(INF if math.isinf(b) else est.value + b)
+        return vals
+
+    def arm_index(self, arm: int, t: int) -> float:
+        return self._index_pass(t)[arm]
 
     def indices(self) -> np.ndarray:
         return np.array(self._index_pass(self.t + 1))
@@ -144,43 +209,8 @@ class _BasePolicy:
             return candidates[0]
         return candidates[rng.integers(len(candidates))]
 
-    def _record(self, arm: int, reward: float) -> None:
-        if not 0 <= arm < self.k:
-            raise IndexError("arm out of range")
-        if math.isnan(reward):
-            raise ValueError(f"reward for arm {arm} is nan")
-        self.counts[arm] += 1
-        self.t += 1
 
-    def update(self, arm: int, reward: float) -> None:
-        self._record(arm, reward)
-        self.estimators[arm].update(reward)
-
-    def _estimate(self, arm: int, t: int) -> float:
-        return self.estimators[arm].value
-
-
-class _HuberIndexPolicy(_BasePolicy):
-    """Per-arm ``HuberParams`` and ``_estimator``s; :meth:`_index_pass` is the one index rule."""
-
-    def __init__(self, arm_params: Sequence[HuberParams]):
-        super().__init__(len(arm_params))
-        self.params = list(arm_params)
-        self.estimators = [self._estimator(p.beta) for p in self.params]
-
-    def _index_pass(self, t: int) -> list[float]:
-        bonus = getattr(confidence, self._bonus_name)  # through the module, once per pass
-        vals = []
-        for s, cfg, est in zip(self.counts.tolist(), self.params, self.estimators):
-            b = bonus(s, t, cfg) if s else INF
-            vals.append(INF if math.isinf(b) else est.value + b)
-        return vals
-
-    def arm_index(self, arm: int, t: int) -> float:
-        return self._index_pass(t)[arm]
-
-
-class HuberUCB(_HuberIndexPolicy):
+class HuberUCB(_IndexPolicy):
     """Index policy on batch Huber estimates with corruption-aware bonuses.
 
     Each arm's parameters (``beta``, ``sigma``, ``eps``, ``p``, ``bias``)
@@ -188,34 +218,31 @@ class HuberUCB(_HuberIndexPolicy):
     its full buffer on every update; other arms keep their cached estimates.
     """
 
-    _bonus_name, _estimator = "huber_bonus", _ArmBuffer
+    _bonus_name = "huber_bonus"
+
+    def __init__(self, arm_params: Sequence[HuberParams]):
+        super().__init__(arm_params, [_ArmBuffer(p.beta) for p in arm_params])
 
 
-class SeqHuberUCB(_HuberIndexPolicy):
+class SeqHuberUCB(_IndexPolicy):
     """Index policy on streaming Huber estimates with staleness-widened bonuses."""
 
-    _bonus_name, _estimator = "seq_huber_bonus", SequentialHuber
+    _bonus_name = "seq_huber_bonus"
+
+    def __init__(self, arm_params: Sequence[HuberParams]):
+        super().__init__(arm_params, [SequentialHuber(p.beta) for p in arm_params])
 
 
-class UCB1(_BasePolicy):
+class UCB1(_IndexPolicy):
     """Classical mean-plus-sqrt(2 ln t / s) index; non-robust baseline."""
 
+    _bonus_name = "ucb1_bonus"
+
     def __init__(self, k: int):
-        super().__init__(k)
-        self.sums = np.zeros(k)
-
-    def update(self, arm: int, reward: float) -> None:
-        self._record(arm, reward)
-        self.sums[arm] += reward
-
-    def _estimate(self, arm: int, t: int) -> float:
-        return self.sums[arm] / self.counts.item(arm)
-
-    def _bonus(self, arm: int, s: int, t: int) -> float:
-        return math.sqrt(2.0 * math.log(t) / s)
+        super().__init__([None] * k, [_RunningMean() for _ in range(k)])
 
 
-class RobustUCBCatoni(_BasePolicy):
+class RobustUCBCatoni(_IndexPolicy):
     """Heavy-tail-tuned baseline: clipping threshold grows like sigma * sqrt(s).
 
     Efficient without corruption, fragile with it: the growing threshold ends
@@ -223,48 +250,33 @@ class RobustUCBCatoni(_BasePolicy):
     ``sigma * sqrt(8 ln t / s)``.
     """
 
+    _bonus_name = "catoni_bonus"
+
     def __init__(self, sigmas: Sequence[float]):
-        super().__init__(len(sigmas))
-        self.sigmas = [float(check_positive(s, "sigmas")) for s in sigmas]
-        self.estimators = [_ArmBuffer(s, grow=True) for s in self.sigmas]
-
-    def _bonus(self, arm: int, s: int, t: int) -> float:
-        return self.sigmas[arm] * math.sqrt(8.0 * math.log(t) / s)
+        sigmas = [float(check_positive(s, "sigmas")) for s in sigmas]
+        super().__init__(sigmas, [_ArmBuffer(s, grow=True) for s in sigmas])
 
 
-class RobustUCBMOM(_BasePolicy):
+class RobustUCBMOM(_IndexPolicy):
     """Median-of-means baseline: ceil(8 ln t) blocks (capped at s), bonus 12 sigma sqrt(ln t / s)."""
 
+    _bonus_name = "mom_bonus"
+
     def __init__(self, sigmas: Sequence[float]):
-        super().__init__(len(sigmas))
-        self.sigmas = [float(check_positive(s, "sigmas")) for s in sigmas]
-        # Chronological rewards per arm: block means depend on arrival order.
-        self.rewards = [np.empty(64, dtype=float) for _ in range(self.k)]
-        self._cache: list[tuple[int, int, float]] = [(-1, -1, 0.0)] * self.k
+        sigmas = [float(check_positive(s, "sigmas")) for s in sigmas]
+        super().__init__(sigmas, [_RewardLog() for _ in sigmas])
 
     @staticmethod
     def block_count(s: int, t: int) -> int:
         return max(1, min(s, math.ceil(8.0 * math.log(t))))
 
-    def update(self, arm: int, reward: float) -> None:
-        self._record(arm, reward)
-        n = self.counts.item(arm) - 1
-        if n == self.rewards[arm].size:
-            self.rewards[arm] = _doubled(self.rewards[arm], n)
-        self.rewards[arm][n] = reward
-
     def _estimate(self, arm: int, t: int) -> float:
-        s = self.counts.item(arm)
-        blocks = self.block_count(s, t)
-        key_s, key_b, value = self._cache[arm]
-        if key_s == s and key_b == blocks:
-            return value
-        value = median_of_means(self.rewards[arm][:s], blocks)
-        self._cache[arm] = (s, blocks, value)
-        return value
-
-    def _bonus(self, arm: int, s: int, t: int) -> float:
-        return 12.0 * self.sigmas[arm] * math.sqrt(math.log(t) / s)
+        log = self.estimators[arm]
+        blocks = self.block_count(log.count, t)
+        if log.blocks != blocks:
+            log.value = median_of_means(log.rewards[: log.count], blocks)
+            log.blocks = blocks
+        return log.value
 
 
 def check_clip(clip: Sequence[float]) -> tuple[float, float]:

@@ -36,6 +36,8 @@ from corrupted_bandits.theory import (
     max_pulls_huber_ucb_simplified,
 )
 
+pytestmark = pytest.mark.acceptance
+
 N_JOBS = 2
 HORIZON = 5000
 REPS = 100

@@ -231,6 +231,13 @@ class TestAggregate:
         for name, a, b in zip(("mean", "stderr", "mean_pulls"), got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_action_outside_the_arms_rejected(self, bad):
+        # A negative action would otherwise count as an arm from the end.
+        actions = [np.array([0, 1, 2, 1]), np.array([0, bad, 2, 1])]
+        with pytest.raises(ValueError, match=r"replication 1 has an action outside \[0, 3\)"):
+            aggregate(actions, np.array([0.5, 0.25, 0.0]))
+
 
 class TestSweep:
     def test_single_value_equals_plain_run(self):
@@ -518,7 +525,7 @@ class TestWorkingMemory:
 
     def test_aggregate(self, run):
         _, peak = traced_peak(aggregate, run.actions, run.gaps)
-        assert peak <= 10 * self.COLUMN
+        assert peak <= 7 * self.COLUMN
 
     def test_bound_overlay(self, run):
         overlay, peak = traced_peak(bound_overlay, run.config)

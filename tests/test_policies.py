@@ -21,7 +21,7 @@ from corrupted_bandits.policies import (
     PolicyBuild,
     SIGMA_FLOOR,
     _ArmBuffer,
-    _BasePolicy,
+    _IndexPolicy,
     check_clip,
     resolve_p,
 )
@@ -48,20 +48,20 @@ POLICY_FACTORIES = [
 ]
 
 
-class _GivenIndices(_BasePolicy):
+class _GivenIndices(_IndexPolicy):
     """A policy whose indices and counts are given, to drive select_arm directly."""
 
     def __init__(self, vals, counts):
-        super().__init__(len(vals))
+        super().__init__([None] * len(vals), [None] * len(vals))
         self.vals = list(vals)
         self.counts[:] = counts
 
-    def arm_index(self, arm, t):
-        return self.vals[arm]
+    def _index_pass(self, t):
+        return self.vals
 
 
 def numpy_select(vals, counts, rng):
-    """The array form of ``_BasePolicy.select_arm``, kept as its reference."""
+    """The array form of ``_IndexPolicy.select_arm``, kept as its reference."""
     vals = np.asarray(vals, dtype=float)
     top = vals.max()
     if math.isinf(top):
@@ -336,16 +336,31 @@ class TestArmBufferPrefix:
         assert buf._sorted.size == 256
 
 
-@pytest.mark.parametrize("policy", ["huber_ucb", "seq_huber_ucb"])
+# Each policy's bonus as each policy computed it before the index rule was shared;
+# the Huber pair's are the confidence module's, checked on their own elsewhere.
+REFERENCE_BONUS = {
+    "huber_ucb": confidence.huber_bonus,
+    "seq_huber_ucb": confidence.seq_huber_bonus,
+    "ucb1": lambda s, t, cfg: math.sqrt(2.0 * math.log(t) / s),
+    "robust_ucb_catoni": lambda s, t, sigma: sigma * math.sqrt(8.0 * math.log(t) / s),
+    "robust_ucb_mom": lambda s, t, sigma: 12.0 * sigma * math.sqrt(math.log(t) / s),
+}
+
+
+@pytest.mark.parametrize("policy", list(REFERENCE_BONUS))
 @pytest.mark.parametrize("env_name, eps", [("student", 0.05), ("bernoulli", 0.0)])
 def test_index_pass_equals_arm_index_over_an_episode(policy, env_name, eps):
     # Every step of a whole episode: the pass select_arm uses, arm_index per
-    # arm, indices() and the rule written out from the confidence module agree
-    # bit for bit.
+    # arm, indices() and the rule written out with the reference bonuses agree
+    # bit for bit.  UCB1's and MOM's estimates are recomputed here as the
+    # policies computed them from private buffers: a running sum of the
+    # rewards, and the median of means of the rewards in arrival order.
     env = make_env(env_name, eps)
     build = resolve(ExperimentConfig(env=env_name, eps_true=eps, policy=policy, horizon=1500), env)[2]
     pol = build.build()
-    bonus = getattr(confidence, {"huber_ucb": "huber_bonus", "seq_huber_ucb": "seq_huber_bonus"}[policy])
+    bonus = REFERENCE_BONUS[policy]
+    arm_cfgs = build.arm_params if policy in ("huber_ucb", "seq_huber_ucb") else build.sigmas
+    sums, history = np.zeros(env.k), [[] for _ in range(env.k)]
     streams = [np.random.Generator(np.random.Philox([9, 0, i])) for i in range(env.k + 1)]
     finite = 0
     for _ in range(build.horizon):
@@ -354,14 +369,27 @@ def test_index_pass_equals_arm_index_over_an_episode(policy, env_name, eps):
         assert vals == [pol.arm_index(i, t) for i in range(pol.k)]
         assert np.array_equal(pol.indices(), np.array(vals))
         expected = []
-        for arm, cfg in enumerate(pol.params):
+        for arm, cfg in enumerate(arm_cfgs):
             s = pol.counts.item(arm)
             b = bonus(s, t, cfg) if s else INF
-            expected.append(INF if math.isinf(b) else pol.estimators[arm].value + b)
+            if math.isinf(b):
+                expected.append(INF)
+                continue
+            if policy == "ucb1":
+                estimate = sums[arm] / s
+            elif policy == "robust_ucb_mom":
+                blocks = max(1, min(s, math.ceil(8.0 * math.log(t))))
+                estimate = median_of_means(np.array(history[arm]), blocks)
+            else:
+                estimate = pol.estimators[arm].value
+            expected.append(estimate + b)
         assert vals == expected
         finite += all(map(math.isfinite, vals))
         arm = pol.select_arm(streams[env.k])
-        pol.update(arm, env.arms[arm].sample(streams[arm])[0])
+        reward = env.arms[arm].sample(streams[arm])[0]
+        pol.update(arm, reward)
+        sums[arm] += reward
+        history[arm].append(reward)
     assert finite > 0
 
 
