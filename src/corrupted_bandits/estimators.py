@@ -1,4 +1,4 @@
-"""Robust mean estimators: Huber M-estimator, its streaming variant, and baselines.
+"""Robust mean estimators, and every per-arm estimator the index policies hold.
 
 The Huber estimate of location is the root of ``sum(psi(x_i - theta)) = 0``
 where ``psi`` clips residuals at ``+/-beta``.  The root is found by monotone
@@ -6,12 +6,25 @@ bisection (the influence sum is nonincreasing in ``theta``) accelerated with
 Newton steps, on a sorted copy of the data with its prefix sums: each
 evaluation finds its unclipped window by bisection on memoryviews of the
 sorted values, so it costs ``O(log n)``.
+
+The per-arm estimators each have ``update(x)``, ``count`` and ``value``:
+
+- ``_ArmBuffer``: the batch Huber estimate, or the Catoni one with a
+  threshold growing like ``sqrt(n)``, re-solved on every update from the
+  sorted rewards and their prefix sums;
+- :class:`SequentialHuber`: the streaming Huber estimate;
+- ``_RunningMean``: the sample mean;
+- ``_RewardLog``: running sums of the rewards in arrival order and their
+  range, from which :func:`median_of_means` takes each block mean as a
+  difference of two sums.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, pairwise
 from typing import Sequence
 
 import numpy as np
@@ -183,36 +196,36 @@ def catoni_estimate(
     return huber_estimate(x, beta)
 
 
-@np.errstate(invalid="ignore")  # inf - inf in a prefix sum or block mean gives nan, silently
-def median_of_means(samples: Sequence[float] | np.ndarray, blocks: int) -> float:
+def median_of_means(samples: Sequence[float] | np.ndarray | _RewardLog, blocks: int) -> float:
     """Median of block means over contiguous blocks of near-equal size.
 
-    The remainder is distributed one extra sample per block from the front.
-    The median of an even number of block means is the midpoint of the two
-    central values; it is nan when a block mean is nan.  It is clamped into
-    the samples' range, which a rounded block mean ``sum / size`` can leave.
+    ``samples`` is a nonempty sequence, or an arm's ``_RewardLog``, which a
+    sequence is first made into.  A block mean is the difference of the
+    running sums at the block's bounds over its size, so an evaluation costs
+    ``O(blocks)``.  The remainder is distributed one extra sample per block
+    from the front.  The median of an even number of block means is the
+    midpoint of the two central values; it is nan when a block mean is nan.
+    It is clamped into the samples' range, which a rounded block mean
+    ``sum / size`` can leave.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
+    log = samples if isinstance(samples, _RewardLog) else _RewardLog(samples)
+    n = log.count
+    if n == 0:
         raise ValueError("samples must be nonempty")
-    if not 1 <= blocks <= x.size:
+    if not 1 <= blocks <= n:
         raise ValueError("blocks must be in [1, len(samples)]")
-    base, rem = divmod(x.size, blocks)
-    sizes = np.full(blocks, base)
-    sizes[:rem] += 1
-    bounds = np.zeros(blocks + 1, dtype=sizes.dtype)
-    sizes.cumsum(out=bounds[1:])
-    prefix = np.zeros(x.size + 1)
-    x.cumsum(out=prefix[1:])
-    ends = prefix[bounds]
-    means = (ends[1:] - ends[:-1]) / sizes
-    means.sort()
-    if math.isnan(means.item(blocks - 1)):
-        # the sort puts nan last; np.median returns nan as well
+    base, rem = divmod(n, blocks)
+    split = rem * (base + 1)
+    # The sums at the bounds of the rem blocks of base + 1 samples, then of the others.
+    big, small = log.prefix[: split + 1 : base + 1], log.prefix[split::base]
+    means = [(b - a) / (base + 1) for a, b in pairwise(big)]
+    means += [(b - a) / base for a, b in pairwise(small)]
+    if any(map(math.isnan, means)):
         return math.nan
+    means.sort()
     half = blocks // 2
-    value = means.item(half) if blocks % 2 else (means.item(half - 1) + means.item(half)) / 2.0
-    return min(max(value, float(x.min())), float(x.max()))
+    value = means[half] if blocks % 2 else (means[half - 1] + means[half]) / 2.0
+    return min(max(value, log.lo), log.hi)
 
 
 def mad_scale(samples: Sequence[float] | np.ndarray) -> float:
@@ -306,3 +319,88 @@ class SequentialHuber:
         elif v > self.hi:
             return self.hi
         return v
+
+
+class _ArmBuffer:
+    """One arm's batch Huber estimate over its sorted rewards, re-solved on every update.
+
+    The threshold is ``beta``, or ``beta * sqrt(n)`` with ``grow`` (Catoni); each
+    root is warm-started at the previous ``value``, which is 0 before any update.
+    """
+
+    def __init__(self, beta: float, grow: bool = False):
+        self.beta = float(beta)
+        self.grow = grow
+        self._buffers(np.empty(64, dtype=float), np.zeros(65, dtype=float))
+        self.count = 0
+        self.value = 0.0
+
+    def _buffers(self, sorted_values: np.ndarray, prefix: np.ndarray) -> None:
+        # Each buffer with a memoryview of it, for the bisections and scalar reads.
+        self._sorted, self._prefix = sorted_values, prefix
+        self._xs, self._ps = memoryview(sorted_values), memoryview(prefix)
+
+    def update(self, x: float) -> None:
+        n = self.count
+        if n == self._sorted.size:
+            self._buffers(_doubled(self._sorted, n), _doubled(self._prefix, n + 1))
+        xs = self._xs
+        pos = bisect_left(xs, x, 0, n)
+        xs[pos + 1 : n + 1] = xs[pos:n]  # memoryview copies are memmoves
+        xs[pos] = x
+        self.count = n + 1
+        # Only the sums from the insert position on change.  np.add.accumulate (np.cumsum's
+        # ufunc) adds in order, so seeding it with prefix[pos] gives the full recompute's bits.
+        self._ps[pos + 1 : n + 2] = xs[pos : n + 1]
+        tail = self._prefix[pos : n + 2]
+        np.add.accumulate(tail, out=tail)
+        beta = self.beta * math.sqrt(self.count) if self.grow else self.beta
+        self.value = self.huber_root(beta, self.value)
+
+    def huber_root(self, beta: float, guess: float) -> float:
+        n = self.count
+        return _huber_root_sorted(self._xs, self._ps, n, beta, default_root_tol(n, beta), guess)
+
+
+class _RunningMean:
+    """One arm's sample mean, kept as a running total."""
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.value = 0.0
+
+    def update(self, x: float) -> None:
+        self.count += 1
+        self.total += x
+        self.value = self.total / self.count
+
+
+class _RewardLog:
+    """One arm's rewards as running sums in arrival order, which block means depend on.
+
+    ``prefix[i]`` is the sum of the first ``i`` rewards, added in order as
+    ``numpy.cumsum`` adds them; ``lo`` and ``hi`` are the smallest and largest
+    reward.  The policy sets ``value`` at ``blocks`` blocks; 0 blocks marks it stale.
+    """
+
+    def __init__(self, samples: Sequence[float] | np.ndarray = ()):
+        values = np.asarray(samples, dtype=float).ravel().tolist()
+        self.prefix = array("d", [0.0])
+        self.prefix.extend(accumulate(values))
+        self.count = len(values)
+        self.lo = min(values, default=math.inf)
+        self.hi = max(values, default=-math.inf)
+        self.blocks = 0
+        self.value = 0.0
+
+    def update(self, x: float) -> None:
+        prefix = self.prefix
+        # The first sum is x itself, as in cumsum: 0.0 + -0.0 would be 0.0.
+        prefix.append(prefix[-1] + x if self.count else x)
+        self.count += 1
+        if x < self.lo:
+            self.lo = x
+        if x > self.hi:
+            self.hi = x
+        self.blocks = 0

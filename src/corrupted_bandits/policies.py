@@ -5,6 +5,7 @@ The five index policies share one rule: each holds an estimator per arm and
 names a bonus closed form in :mod:`confidence`; an arm's index is its
 estimate plus its bonus, ``inf`` for an unpulled arm or an infinite bonus,
 which always wins (forced exploration).  Ties break uniformly at random.
+This module holds only policies; the per-arm estimators are in :mod:`estimators`.
 
 One policy instance serves one episode; state is never shared across
 replications.
@@ -13,7 +14,6 @@ replications.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -22,13 +22,7 @@ import numpy as np
 from . import confidence
 from .confidence import HuberParams, chebyshev_p, huber_bias_bound
 from .envs import BanditEnv, check_positive
-from .estimators import (
-    SequentialHuber,
-    _doubled,
-    _huber_root_sorted,
-    default_root_tol,
-    median_of_means,
-)
+from .estimators import SequentialHuber, _ArmBuffer, _RewardLog, _RunningMean, median_of_means
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -50,82 +44,6 @@ __all__ = [
 
 INF = math.inf
 TIE_TOL = 1e-12
-
-
-class _ArmBuffer:
-    """One arm's batch Huber estimate over its sorted rewards, re-solved on every update.
-
-    The threshold is ``beta``, or ``beta * sqrt(n)`` with ``grow`` (Catoni); each
-    root is warm-started at the previous ``value``, which is 0 before any update.
-    """
-
-    def __init__(self, beta: float, grow: bool = False):
-        self.beta = float(beta)
-        self.grow = grow
-        self._buffers(np.empty(64, dtype=float), np.zeros(65, dtype=float))
-        self.count = 0
-        self.value = 0.0
-
-    def _buffers(self, sorted_values: np.ndarray, prefix: np.ndarray) -> None:
-        # Each buffer with a memoryview of it, for the bisections and scalar reads.
-        self._sorted, self._prefix = sorted_values, prefix
-        self._xs, self._ps = memoryview(sorted_values), memoryview(prefix)
-
-    def update(self, x: float) -> None:
-        n = self.count
-        if n == self._sorted.size:
-            self._buffers(_doubled(self._sorted, n), _doubled(self._prefix, n + 1))
-        xs = self._xs
-        pos = bisect_left(xs, x, 0, n)
-        xs[pos + 1 : n + 1] = xs[pos:n]  # memoryview copies are memmoves
-        xs[pos] = x
-        self.count = n + 1
-        # Only the sums from the insert position on change.  np.add.accumulate (np.cumsum's
-        # ufunc) adds in order, so seeding it with prefix[pos] gives the full recompute's bits.
-        self._ps[pos + 1 : n + 2] = xs[pos : n + 1]
-        tail = self._prefix[pos : n + 2]
-        np.add.accumulate(tail, out=tail)
-        beta = self.beta * math.sqrt(self.count) if self.grow else self.beta
-        self.value = self.huber_root(beta, self.value)
-
-    def huber_root(self, beta: float, guess: float) -> float:
-        n = self.count
-        return _huber_root_sorted(self._xs, self._ps, n, beta, default_root_tol(n, beta), guess)
-
-
-class _RunningMean:
-    """One arm's sample mean, kept as a running total."""
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.value = 0.0
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        self.total += x
-        self.value = self.total / self.count
-
-
-class _RewardLog:
-    """One arm's rewards in arrival order, which block means depend on.
-
-    The policy sets ``value`` from them at ``blocks`` blocks; 0 blocks marks it stale.
-    """
-
-    def __init__(self):
-        self.rewards = np.empty(64, dtype=float)
-        self.count = 0
-        self.blocks = 0
-        self.value = 0.0
-
-    def update(self, x: float) -> None:
-        n = self.count
-        if n == self.rewards.size:
-            self.rewards = _doubled(self.rewards, n)
-        self.rewards[n] = x
-        self.count = n + 1
-        self.blocks = 0
 
 
 class _BasePolicy:
@@ -274,7 +192,7 @@ class RobustUCBMOM(_IndexPolicy):
         log = self.estimators[arm]
         blocks = self.block_count(log.count, t)
         if log.blocks != blocks:
-            log.value = median_of_means(log.rewards[: log.count], blocks)
+            log.value = median_of_means(log, blocks)
             log.blocks = blocks
         return log.value
 

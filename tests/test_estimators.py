@@ -8,6 +8,7 @@ from corrupted_bandits.estimators import (
     HuberSolverError,
     SequentialHuber,
     _huber_root_sorted,
+    _RewardLog,
     catoni_estimate,
     default_root_tol,
     floor_pow2,
@@ -399,6 +400,36 @@ class TestMedianOfMeans:
             median_of_means([1.0, 2.0], 3)
         with pytest.raises(ValueError):
             median_of_means([], 1)
+
+
+def _student_draws(n, seed):
+    return (np.random.default_rng(seed).standard_t(2, size=n) * 10.0).tolist()
+
+
+# Reward streams for the running-sum record: heavy tails, equal samples (the
+# clamp), signed zeros (cumsum's first sum is the first value itself), a 1e308
+# pair (the sums overflow to inf, later blocks read nan) and +-inf.
+REWARD_STREAMS = {
+    "student": _student_draws(80, 1),
+    "equal": [699050.9762153404] * 20,
+    "zeros": [-0.0, -0.0, 0.0, -0.0, -0.0],
+    "overflow": _student_draws(10, 2) + [1e308, 1e308] + _student_draws(10, 3),
+    "infinite": _student_draws(10, 4) + [math.inf] + _student_draws(5, 5) + [-math.inf, 1.0],
+}
+
+
+class TestRewardLog:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", list(REWARD_STREAMS))
+    def test_streamed_record_equals_array_bit_for_bit(self, name):
+        values = REWARD_STREAMS[name]
+        log = _RewardLog()
+        for s, x in enumerate(values, start=1):
+            log.update(x)
+            for blocks in {1, 2, 3, min(s, math.ceil(8.0 * math.log(s + 1)))}:
+                if blocks <= s:
+                    expected = median_of_means(np.array(values[:s]), blocks)
+                    assert median_of_means(log, blocks).hex() == expected.hex()
 
 
 class TestMadScale:

@@ -59,7 +59,7 @@ def _config(env, eps, policy, seed=0):
 
 def curve_digests(env, eps, policy, seed) -> dict:
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         curve = monte_carlo_regret(_config(env, eps, policy, seed))
     return {
         "mean": _sha(curve.mean),
@@ -70,7 +70,7 @@ def curve_digests(env, eps, policy, seed) -> dict:
 
 def overlay_digest(env, eps, policy) -> str:
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         return _sha(bound_overlay(_config(env, eps, policy)))
 
 

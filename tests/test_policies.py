@@ -5,9 +5,9 @@ import pytest
 
 from corrupted_bandits import confidence
 from corrupted_bandits.confidence import HuberParams, exploration_threshold
-from corrupted_bandits.envs import PRESETS, make_env
+from corrupted_bandits.envs import PRESETS, BanditEnv, CorruptedArm, Dirac, Gaussian, make_env
 from corrupted_bandits.estimators import floor_pow2, huber_estimate, median_of_means
-from corrupted_bandits.harness import ExperimentConfig, resolve
+from corrupted_bandits.harness import ExperimentConfig, resolve, run_episode
 from corrupted_bandits.policies import (
     TIE_TOL,
     Exp3,
@@ -282,6 +282,35 @@ class TestRobustBaselines:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             RobustUCBCatoni([0.0])
+
+
+_MOM_NAN_INDEX = pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="the running sums overflow or hold +-inf, so a later block difference is "
+    "inf - inf = nan and select_arm raises on a nan index",
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("outlier", [
+    1e6,
+    1e60,
+    -1e60,
+    1e200,
+    pytest.param(1e308, marks=_MOM_NAN_INDEX),
+    pytest.param(math.inf, marks=_MOM_NAN_INDEX),
+    pytest.param(-math.inf, marks=_MOM_NAN_INDEX),
+])
+def test_mom_runs_through_dirac_outliers(outlier):
+    # N(0/0.5/1, 1) inliers with Dirac outliers at eps = 0.05: no crash and no warning.
+    env = BanditEnv(tuple(
+        CorruptedArm(Gaussian(mu, 1.0), Dirac(outlier), 0.05) for mu in (0.0, 0.5, 1.0)
+    ))
+    build = PolicyBuild(name="robust_ucb_mom", k=3, horizon=2000, arm_params=(),
+                        sigmas=(1.0, 1.0, 1.0), exp3_clip=(-10.0, 10.0))
+    result = run_episode(env, build, seed=0)
+    assert result.corrupted.any() and result.actions.size == 2000
 
 
 class TestBufferGrowth:
