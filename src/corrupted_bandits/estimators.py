@@ -7,7 +7,11 @@ Newton steps, on a sorted copy of the data with its prefix sums: each
 evaluation finds its unclipped window by bisection on memoryviews of the
 sorted values, so it costs ``O(log n)``.
 
-The per-arm estimators each have ``update(x)``, ``count`` and ``value``:
+The per-arm estimators share one protocol: ``update(x)`` leaves ``count``
+and ``value`` current, so a policy reads both without recomputing anything.
+The one exception is ``_RewardLog``, whose median-of-means ``value`` depends
+on the block count, and so on the step: ``RobustUCBMOM`` refreshes it at each
+step's block count before reading it.
 
 - ``_ArmBuffer``: the batch Huber estimate, or the Catoni one with a
   threshold growing like ``sqrt(n)``, re-solved on every update from the
@@ -260,15 +264,17 @@ class SequentialHuber:
     the anchor prefix is zero by the definition of ``H``), and the denominator
     accumulates ``psi'(x_i - H)`` over the whole stream.
 
-    The value at count 0 is defined to be 0.  When the correction denominator
-    is 0 the anchor itself is returned: an empty linearization window carries
-    no local information.  The Newton step can overshoot the samples, so a
-    corrected value is clamped into their range ``[lo, hi]`` (nan passes).
+    ``update`` leaves ``value`` current: 0 at count 0, the anchor at a power
+    of two.  When the correction denominator is 0 it is the anchor itself: an
+    empty linearization window carries no local information.  The Newton step
+    can overshoot the samples, so a corrected value is clamped into their
+    range ``[lo, hi]`` (nan passes).
     """
 
     def __init__(self, beta: float, capacity: int = 64):
         self.beta = float(check_positive(beta, "beta"))
         self.count = 0
+        self.value = 0.0
         self.anchor = 0.0
         self.psi_sum = 0.0
         self.psi_prime_sum = 0.0
@@ -300,25 +306,20 @@ class SequentialHuber:
             self.psi_sum = 0.0
             resid = buf - self.anchor
             self.psi_prime_sum = float(np.count_nonzero(np.abs(resid, out=resid) <= self.beta))
-        else:
-            r = x - self.anchor
-            self.psi_sum += min(max(r, -self.beta), self.beta)
-            if abs(r) <= self.beta:
-                self.psi_prime_sum += 1.0
-
-    @property
-    def value(self) -> float:
-        n = self.count
-        if n == 0:
-            return 0.0
-        if not n & (n - 1) or self.psi_prime_sum == 0.0:
-            return self.anchor
-        v = self.anchor + self.psi_sum / self.psi_prime_sum
-        if v < self.lo:
-            return self.lo
-        elif v > self.hi:
-            return self.hi
-        return v
+            self.value = self.anchor
+            return
+        r = x - self.anchor
+        self.psi_sum += min(max(r, -self.beta), self.beta)
+        if abs(r) <= self.beta:
+            self.psi_prime_sum += 1.0
+        v = self.anchor
+        if self.psi_prime_sum != 0.0:
+            v += self.psi_sum / self.psi_prime_sum
+            if v < self.lo:
+                v = self.lo
+            elif v > self.hi:
+                v = self.hi
+        self.value = v
 
 
 class _ArmBuffer:

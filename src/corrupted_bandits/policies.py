@@ -5,7 +5,8 @@ The five index policies share one rule: each holds an estimator per arm and
 names a bonus closed form in :mod:`confidence`; an arm's index is its
 estimate plus its bonus, ``inf`` for an unpulled arm or an infinite bonus,
 which always wins (forced exploration).  Ties break uniformly at random.
-This module holds only policies; the per-arm estimators are in :mod:`estimators`.
+This module holds only policies; the per-arm estimators are in :mod:`estimators`,
+and an index policy reads each arm's pull count and estimate from its estimator.
 
 One policy instance serves one episode; state is never shared across
 replications.
@@ -47,29 +48,28 @@ TIE_TOL = 1e-12
 
 
 class _BasePolicy:
-    """Pull counts, the step counter and the checks on each recorded pull."""
+    """The step counter and the checks on each recorded pull."""
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("need at least one arm")
         self.k = k
         self.t = 0
-        self.counts = np.zeros(k, dtype=np.int64)
 
     def _record(self, arm: int, reward: float) -> None:
         if not 0 <= arm < self.k:
             raise IndexError("arm out of range")
         if math.isnan(reward):
             raise ValueError(f"reward for arm {arm} is nan")
-        self.counts[arm] += 1
         self.t += 1
 
 
 class _IndexPolicy(_BasePolicy):
     """An estimator and parameters per arm, a bonus closed form, and the one index rule.
 
-    ``estimators[arm]`` has ``update(x)`` and ``value``.  The bonus is the
-    function named ``_bonus_name`` in :mod:`confidence`, called as
+    ``estimators[arm]`` has ``update(x)``, ``count`` and ``value``, and is the
+    arm's only record: ``counts`` is read from it.  The bonus is the function
+    named ``_bonus_name`` in :mod:`confidence`, called as
     ``bonus(s, t, params[arm])``.  A policy whose estimate depends on the step
     defines ``_estimate(arm, t)``, which sets and returns ``estimators[arm].value``
     for step ``t``; it runs for every pulled arm before each pass.
@@ -82,6 +82,11 @@ class _IndexPolicy(_BasePolicy):
         self.params = list(arm_params)
         self.estimators = estimators
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Each arm's pull count, read from its estimator."""
+        return np.array([est.count for est in self.estimators], dtype=np.int64)
+
     def update(self, arm: int, reward: float) -> None:
         self._record(arm, reward)
         self.estimators[arm].update(reward)
@@ -89,13 +94,13 @@ class _IndexPolicy(_BasePolicy):
     def _index_pass(self, t: int) -> list[float]:
         """Every arm's index at step t: ``inf`` if unpulled or its bonus is, else estimate plus bonus."""
         bonus = getattr(confidence, self._bonus_name)  # through the module, once per pass
-        counts = self.counts.tolist()
         if self._estimate is not None:
-            for arm, s in enumerate(counts):
-                if s:
+            for arm, est in enumerate(self.estimators):
+                if est.count:
                     self._estimate(arm, t)
         vals = []
-        for s, cfg, est in zip(counts, self.params, self.estimators):
+        for cfg, est in zip(self.params, self.estimators):
+            s = est.count
             b = bonus(s, t, cfg) if s else INF
             vals.append(INF if math.isinf(b) else est.value + b)
         return vals
@@ -117,7 +122,7 @@ class _IndexPolicy(_BasePolicy):
             # least-pulled ones so the opening pulls cover every arm before
             # any repeat; ties broken uniformly.
             candidates = [i for i, v in enumerate(vals) if math.isinf(v)]
-            counts = [self.counts.item(i) for i in candidates]
+            counts = [self.estimators[i].count for i in candidates]
             fewest = min(counts)
             candidates = [i for i, c in zip(candidates, counts) if c == fewest]
         else:
@@ -214,7 +219,8 @@ class Exp3(_BasePolicy):
     update (the weights diverge under unbounded observations otherwise); a
     reward at the bottom of the range leaves the weights untouched.
     Learning rate ``sqrt(ln k / (k n))`` for a known horizon ``n``.
-    Weights are kept in log space.
+    Weights are kept in log space; with no per-arm estimator, the policy
+    keeps its own pull ``counts``.
     """
 
     def __init__(self, k: int, horizon: int, clip: tuple[float, float]):
@@ -223,6 +229,7 @@ class Exp3(_BasePolicy):
             raise ValueError("horizon must be >= 1")
         self.clip = check_clip(clip)
         self.eta = math.sqrt(math.log(k) / (k * horizon))
+        self.counts = np.zeros(k, dtype=np.int64)
         self.log_weights = np.zeros(k)
         # The probabilities of the last draw, handed from select_arm to the
         # update of the same step; the weights change only in update.
@@ -250,6 +257,7 @@ class Exp3(_BasePolicy):
     def update(self, arm: int, reward: float) -> None:
         probs = self.probabilities() if self._drawn is None else self._drawn
         self._record(arm, reward)
+        self.counts[arm] += 1
         self._drawn = None
         lo, hi = self.clip
         clipped = min(max(reward, lo), hi)
@@ -340,7 +348,6 @@ class PolicyBuild:
     """Picklable recipe for constructing a fresh policy per replication."""
 
     name: str
-    k: int
     horizon: int
     arm_params: tuple[HuberParams, ...]
     sigmas: tuple[float, ...]
@@ -349,6 +356,10 @@ class PolicyBuild:
     def __post_init__(self):
         if self.name not in _CONSTRUCTORS:
             raise ValueError(f"unknown policy {self.name!r}; choose from {POLICY_NAMES}")
+
+    @property
+    def k(self) -> int:
+        return len(self.sigmas)
 
     def build(self):
         return _CONSTRUCTORS[self.name](self)
@@ -360,7 +371,6 @@ def make_policy(config: ExperimentConfig, env: BanditEnv) -> PolicyBuild:
     huber = cfg.policy in ("huber_ucb", "seq_huber_ucb")
     return PolicyBuild(
         name=cfg.policy,
-        k=env.k,
         horizon=cfg.horizon,
         arm_params=tuple(build_huber_params(env, cfg)) if huber else (),
         sigmas=_sigmas(env),

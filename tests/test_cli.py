@@ -367,6 +367,61 @@ class TestBoundaryExits:
         assert not out.exists()
 
 
+# Every flag that a bounds table or an estimator does not read, with a value to give it.
+IGNORED_BOUNDS_FLAGS = [
+    ("pulls", "--sigma", "7"), ("pulls", "--eps", "0.3"),
+    ("pulls", "--gap-min", "5"), ("pulls", "--gap-max", "9"),
+    ("kl", "--horizon", "100"),
+]
+_NO_FLAGS = ["--beta", "--sigma", "--scale", "--blocks"]
+IGNORED_ESTIMATE_FLAGS = [
+    *[("huber", flag) for flag in ("--sigma", "--scale", "--blocks")],
+    *[("seqhub", flag) for flag in ("--sigma", "--scale", "--blocks")],
+    *[("catoni", flag) for flag in ("--beta", "--blocks")],
+    *[("mom", flag) for flag in ("--beta", "--sigma", "--scale")],
+    *[(name, flag) for name in ("mean", "median", "mad") for flag in _NO_FLAGS],
+]
+
+
+class TestIgnoredFlags:
+    @pytest.mark.parametrize("table, flag, value", IGNORED_BOUNDS_FLAGS)
+    def test_bounds_flag_the_table_ignores_exits(self, tmp_path, table, flag, value):
+        out = tmp_path / "t.csv"
+        message = _exits_with_one_line(
+            ["bounds", "--table", table, flag, value, "--out", str(out)])
+        assert message == f"bounds --table {table} does not read {flag}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator, flag", IGNORED_ESTIMATE_FLAGS)
+    def test_estimate_flag_the_estimator_ignores_exits(self, data_file, capsys, estimator, flag):
+        path, _ = data_file
+        message = _exits_with_one_line(["estimate", str(path), "--estimator", estimator, flag, "2"])
+        assert message == f"estimate --estimator {estimator} does not read {flag}"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("table, given", [
+        ("kl", ["--sigma", "1", "--eps", "0.2", "--gap-min", "0.01", "--gap-max", "4",
+                "--points", "50"]),
+        ("pulls", ["--points", "50", "--horizon", "5000"]),
+    ])
+    def test_bounds_defaults_are_the_read_flags_given(self, tmp_path, table, given):
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        main(["bounds", "--table", table, "--out", str(default)])
+        main(["bounds", "--table", table, *given, "--out", str(explicit)])
+        assert default.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize("estimator, given", [
+        ("huber", ["--beta", "1"]), ("seqhub", ["--beta", "1"]),
+        ("catoni", ["--sigma", "1", "--scale", "1"]), ("mom", ["--blocks", "0"]),
+    ])
+    def test_estimate_defaults_are_the_read_flags_given(self, data_file, capsys, estimator, given):
+        path, _ = data_file
+        main(["estimate", str(path), "--estimator", estimator])
+        default = capsys.readouterr().out
+        main(["estimate", str(path), "--estimator", estimator, *given])
+        assert capsys.readouterr().out == default
+
+
 class TestNonFiniteFlags:
     @pytest.mark.parametrize("estimator", ["huber", "seqhub"])
     def test_estimate_nan_beta(self, data_file, estimator):
@@ -443,7 +498,7 @@ class TestFlagsFollowTheConfig:
     def test_choices_come_from_their_tables(self, monkeypatch):
         monkeypatch.setitem(PRESETS, "extra", PRESETS["student"])
         monkeypatch.setattr(cli, "SWEEP_AXES", (*SWEEP_AXES, "extra"))
-        monkeypatch.setitem(cli.ESTIMATORS, "extra", lambda data, args: 0.0)
+        monkeypatch.setitem(cli.ESTIMATORS, "extra", (lambda data, args: 0.0, ()))
         parser = cli.build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 

@@ -455,7 +455,65 @@ class TestFloorPow2:
             floor_pow2(0)
 
 
+def reference_seq_value(est):
+    """``SequentialHuber.value`` as the property that recomputed it on every read."""
+    n = est.count
+    if n == 0:
+        return 0.0
+    if not n & (n - 1) or est.psi_prime_sum == 0.0:
+        return est.anchor
+    v = est.anchor + est.psi_sum / est.psi_prime_sum
+    if v < est.lo:
+        return est.lo
+    elif v > est.hi:
+        return est.hi
+    return v
+
+
+def _t2_stream(seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_t(2, size=300) * rng.uniform(0.1, 5) + rng.uniform(-3, 3)).tolist()
+
+
+# (beta, stream): the overshoot-clamp inputs of the tests below, and signed
+# zeros, among them corrected values equal to lo or hi but for the sign of
+# zero, which are not clamped.
+EDGE_SEQ_STREAMS = [
+    (48855.0, [0.0, 0.0, -97711.0, -97711.0, 0.0, -1.0]),
+    (48855.0, [-0.0, 0.0, -97711.0, -97711.0, 0.0, -1.0]),
+    (48855.0, [0.0, 0.0, 97711.0, 97711.0, 0.0, 1.0]),
+    (1.0, [-0.0, -0.0, -0.0, 0.0, -0.0]),
+    (1.0, [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0]),
+    (0.5, [-0.0, 0.0, -0.0]),
+    (1.0, [-5.0, -0.0, -5.0, -1.0, 0.0, -1.0, -2.0]),
+]
+# With t(2) streams and the zero-denominator inputs below, plain and numpy floats.
+SEQ_STREAMS = [
+    *[(beta, _t2_stream(seed)) for seed in range(4) for beta in (0.2, 1.5, 1e6)],
+    (1.0, [0.0, 10.0, 50.0]),
+    (1.0, list(np.array([0.0, 10.0, 50.0]))),
+    *EDGE_SEQ_STREAMS,
+]
+
+
 class TestSequentialHuber:
+    @pytest.mark.parametrize("beta, stream", SEQ_STREAMS)
+    def test_value_is_the_reference_after_every_update(self, beta, stream):
+        s = SequentialHuber(beta)
+        assert _same(s.value, reference_seq_value(s))
+        for x in stream:
+            s.update(x)
+            ref = reference_seq_value(s)
+            assert type(s.value) is type(ref) and _same(s.value, ref), (s.count, s.value, ref)
+
+    @pytest.mark.parametrize("beta, stream", EDGE_SEQ_STREAMS)
+    def test_range_is_min_and_max_with_the_sign_of_zero(self, beta, stream):
+        # lo and hi are the first smallest and largest samples, as min and max give them.
+        s = SequentialHuber(beta)
+        for i, x in enumerate(stream, 1):
+            s.update(x)
+            assert _same(s.lo, min(stream[:i])) and _same(s.hi, max(stream[:i]))
+
     def test_initial_state(self):
         s = SequentialHuber(1.0)
         assert s.count == 0
@@ -520,13 +578,22 @@ class TestSequentialHuber:
         assert s.value == 0.0
 
     def test_correction_arithmetic(self):
+        # The anchor of the first four is 1.0 with every sample in its window;
+        # the fifth adds psi(1.5 - 1.0) = 0.5 to the numerator.
         s = SequentialHuber(1.0)
-        s.count = 5
-        s.anchor = 1.0
-        s.psi_sum = 0.5
-        s.psi_prime_sum = 5.0
-        s.lo, s.hi = 0.0, 2.0
-        assert s.value == pytest.approx(1.1)
+        for x in [0.0, 2.0, 0.0, 2.0, 1.5]:
+            s.update(x)
+        assert (s.count, s.anchor, s.psi_sum, s.psi_prime_sum) == (5, 1.0, 0.5, 5.0)
+        assert (s.lo, s.hi) == (0.0, 2.0)
+        assert s.value == 1.0 + 0.5 / 5.0 == pytest.approx(1.1)
+
+    def test_correction_window_is_closed(self):
+        # The third sample sits exactly beta above the anchor 0.0 of the first two.
+        s = SequentialHuber(1.0)
+        for x in [0.0, 0.0, 1.0]:
+            s.update(x)
+        assert (s.anchor, s.psi_sum, s.psi_prime_sum) == (0.0, 1.0, 3.0)
+        assert s.value == 1.0 / 3.0
 
     def test_state_invariants(self):
         rng = np.random.default_rng(17)
@@ -544,7 +611,8 @@ class TestSequentialHuber:
         s = SequentialHuber(2.0)
         for x in rng.normal(size=n):
             s.update(float(x))
-        assert s.solver_samples <= 2 * n
+        # One batch solve at each power of two: 1 + 2 + ... + 512.
+        assert s.solver_samples == 2 * floor_pow2(n) - 1 <= 2 * n
 
     def test_close_to_batch_on_gaussian_streams(self):
         # Non-anchor staleness stays within a few standard errors.

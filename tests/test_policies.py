@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,9 +53,8 @@ class _GivenIndices(_IndexPolicy):
     """A policy whose indices and counts are given, to drive select_arm directly."""
 
     def __init__(self, vals, counts):
-        super().__init__([None] * len(vals), [None] * len(vals))
+        super().__init__([None] * len(vals), [SimpleNamespace(count=c) for c in counts])
         self.vals = list(vals)
-        self.counts[:] = counts
 
     def _index_pass(self, t):
         return self.vals
@@ -73,6 +73,19 @@ def numpy_select(vals, counts, rng):
     if candidates.size == 1:
         return int(candidates[0])
     return int(candidates[rng.integers(candidates.size)])
+
+
+@pytest.mark.parametrize("factory", POLICY_FACTORIES)
+def test_counts_are_the_bincount_of_actions_at_every_step(factory):
+    pol = factory()
+    rng, rewards = rng_for(5), np.random.default_rng(5)
+    actions = []
+    for _ in range(1500):
+        arm = pol.select_arm(rng)
+        pol.update(arm, float(rewards.standard_t(2)) + 0.3 * arm)
+        actions.append(arm)
+        assert np.array_equal(pol.counts, np.bincount(actions, minlength=pol.k))
+    assert pol.counts.dtype == np.int64 and pol.t == 1500
 
 
 class TestSelection:
@@ -164,10 +177,15 @@ class TestAccounting:
             pol.update(arm, math.nan)
         assert np.array_equal(pol.counts, counts) and pol.t == t
 
-    def test_invalid_arm_rejected(self):
-        pol = UCB1(2)
-        with pytest.raises(IndexError):
-            pol.update(5, 1.0)
+    @pytest.mark.parametrize("factory", POLICY_FACTORIES)
+    @pytest.mark.parametrize("arm", [-1, 3, 5])
+    def test_invalid_arm_rejected(self, factory, arm):
+        pol = factory()
+        pol.update(0, 1.0)
+        counts = pol.counts.copy()
+        with pytest.raises(IndexError, match="arm out of range"):
+            pol.update(arm, 1.0)
+        assert np.array_equal(pol.counts, counts) and pol.t == 1
 
 
 class TestHuberUCBIndex:
@@ -307,7 +325,7 @@ def test_mom_runs_through_dirac_outliers(outlier):
     env = BanditEnv(tuple(
         CorruptedArm(Gaussian(mu, 1.0), Dirac(outlier), 0.05) for mu in (0.0, 0.5, 1.0)
     ))
-    build = PolicyBuild(name="robust_ucb_mom", k=3, horizon=2000, arm_params=(),
+    build = PolicyBuild(name="robust_ucb_mom", horizon=2000, arm_params=(),
                         sigmas=(1.0, 1.0, 1.0), exp3_clip=(-10.0, 10.0))
     result = run_episode(env, build, seed=0)
     assert result.corrupted.any() and result.actions.size == 2000
@@ -642,7 +660,6 @@ def reference_make_policy(
         )
     return PolicyBuild(
         name=name,
-        k=env.k,
         horizon=horizon,
         arm_params=arm_params,
         sigmas=tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from corrupted_bandits.cli import ESTIMATORS, main
+from corrupted_bandits.cli import _TABLES, ESTIMATORS, main
 from corrupted_bandits.envs import PRESETS
 from corrupted_bandits.estimators import (
     SequentialHuber,
@@ -164,10 +164,16 @@ def data_path(tmp_path_factory):
     return path
 
 
+def _flags(values: dict, reads) -> list[str]:
+    """The flags a table or estimator reads, with their drawn values; the others would end the command."""
+    return [f"--{name.replace('_', '-')}={values[name]}" for name in reads]
+
+
 @given(st.sampled_from(sorted(ESTIMATORS)), any_float, any_float, any_float, any_int)
 def test_estimate_flags_never_traceback(data_path, estimator, beta, sigma, scale, blocks):
-    _exits_cleanly(["estimate", str(data_path), f"--estimator={estimator}", f"--beta={beta}",
-                    f"--sigma={sigma}", f"--scale={scale}", f"--blocks={blocks}"])
+    values = {"beta": beta, "sigma": sigma, "scale": scale, "blocks": blocks}
+    _exits_cleanly(["estimate", str(data_path), f"--estimator={estimator}",
+                    *_flags(values, ESTIMATORS[estimator][1])])
 
 
 @given(
@@ -184,9 +190,10 @@ def test_bounds_flags_never_traceback(
     tmp_path_factory, table, sigma, eps, gap_min, gap_max, points, horizon
 ):
     out = tmp_path_factory.getbasetemp() / "bounds.csv"
-    _exits_cleanly(["bounds", f"--table={table}", f"--out={out}", f"--sigma={sigma}",
-                    f"--eps={eps}", f"--gap-min={gap_min}", f"--gap-max={gap_max}",
-                    f"--points={points}", f"--horizon={horizon}"])
+    values = {"sigma": sigma, "eps": eps, "gap_min": gap_min, "gap_max": gap_max,
+              "points": points, "horizon": horizon}
+    _exits_cleanly(["bounds", f"--table={table}", f"--out={out}",
+                    *_flags(values, _TABLES[table][1])])
 
 
 # Any float or integer, with the valid ranges mixed in so that runs happen too.
