@@ -164,27 +164,28 @@ def _pulls_table(args: argparse.Namespace) -> list[list]:
 # Default of each bounds flag; a table gets the defaults of the flags it reads.
 _BOUNDS_DEFAULTS = {"sigma": 1.0, "eps": 0.2, "gap_min": 0.01, "gap_max": 4.0,
                    "points": 50, "horizon": 5000}
-# Table name -> (rows under the parsed flags, the flags it reads).
+# Table name -> (rows under the flags it reads, those flags); it is given no other.
 _TABLES = {
     "kl": (_kl_table, ("sigma", "eps", "gap_min", "gap_max", "points")),
     "pulls": (_pulls_table, ("points", "horizon")),
 }
 
 
-def _read_flags(args: argparse.Namespace, defaults: dict, reads: tuple, what: str) -> None:
-    """Fill in the defaults of the flags ``what`` reads; exit if it is given one it ignores."""
-    for name, default in defaults.items():
-        if name in reads:
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-        elif getattr(args, name) is not None:
+def _read_flags(args: argparse.Namespace, defaults: dict, reads: tuple,
+                what: str) -> argparse.Namespace:
+    """Only the flags ``what`` reads, unset ones at their defaults; exit on one it ignores."""
+    for name in defaults:
+        if name not in reads and getattr(args, name) is not None:
             raise SystemExit(f"{what} does not read --{name.replace('_', '-')}")
+    given = {name: getattr(args, name) for name in reads}
+    return argparse.Namespace(**{name: defaults[name] if value is None else value
+                                 for name, value in given.items()})
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     build, reads = _TABLES[args.table]
-    _read_flags(args, _BOUNDS_DEFAULTS, reads, f"bounds --table {args.table}")
-    table = _checked(build, args, what="bounds table")
+    flags = _read_flags(args, _BOUNDS_DEFAULTS, reads, f"bounds --table {args.table}")
+    table = _checked(build, flags, what="bounds table")
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with args.out.open("w", newline="") as fh:
         csv.writer(fh).writerows(table)
@@ -208,8 +209,8 @@ def _median_of_means(data: np.ndarray, args: argparse.Namespace) -> float:
 
 # Default of each estimate flag; an estimator gets the defaults of the flags it reads.
 _ESTIMATE_DEFAULTS = {"beta": 1.0, "sigma": 1.0, "scale": 1.0, "blocks": 0}
-# Estimator name -> (value of a nonempty sample under the parsed flags, the
-# flags it reads); the keys are the --estimator choices.
+# Estimator name -> (value of a nonempty sample under the flags it reads, those
+# flags; it is given no other); the keys are the --estimator choices.
 ESTIMATORS = {
     "huber": (lambda data, args: huber_estimate(data, args.beta), ("beta",)),
     "seqhub": (_sequential_huber, ("beta",)),
@@ -234,19 +235,18 @@ def _load_samples(path: Path) -> np.ndarray:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     estimate, reads = ESTIMATORS[args.estimator]
-    _read_flags(args, _ESTIMATE_DEFAULTS, reads, f"estimate --estimator {args.estimator}")
+    flags = _read_flags(args, _ESTIMATE_DEFAULTS, reads, f"estimate --estimator {args.estimator}")
     data = _checked(_load_samples, args.input, what="data file")
-    value = _checked(estimate, data, args, what="estimate")
+    value = _checked(estimate, data, flags, what="estimate")
     print(format(value, ".17g"))
     return 0
 
 
-def _defaulted_flags(parser, defaults: dict, readers: dict) -> None:
-    """One flag per default, unset unless given; its help names its readers and default."""
+def _defaulted_flags(parser, defaults: dict) -> None:
+    """One flag per default, unset unless given."""
     for name, default in defaults.items():
-        users = ", ".join(key for key, (_, reads) in readers.items() if name in reads)
         parser.add_argument(f"--{name.replace('_', '-')}", type=type(default),
-                            help=f"read by {users} (default {default})")
+                            help=f"default {default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p = sub.add_parser("bounds", help="emit theory tables as CSV")
     bounds_p.add_argument("--table", choices=_TABLES, default="kl")
     bounds_p.add_argument("--out", type=Path, required=True)
-    _defaulted_flags(bounds_p, _BOUNDS_DEFAULTS, _TABLES)
+    _defaulted_flags(bounds_p, _BOUNDS_DEFAULTS)
     bounds_p.set_defaults(func=_cmd_bounds)
 
     est_p = sub.add_parser("estimate", help="robust estimate of a data file")
     est_p.add_argument("input", type=Path, help="newline-separated reals")
     est_p.add_argument("--estimator", choices=ESTIMATORS, default="huber")
-    _defaulted_flags(est_p, _ESTIMATE_DEFAULTS, ESTIMATORS)
+    _defaulted_flags(est_p, _ESTIMATE_DEFAULTS)
     est_p.set_defaults(func=_cmd_estimate)
     return parser
 

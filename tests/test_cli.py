@@ -399,6 +399,15 @@ class TestIgnoredFlags:
         assert message == f"estimate --estimator {estimator} does not read {flag}"
         assert capsys.readouterr().out == ""
 
+    def test_each_function_is_given_only_the_flags_it_names(self, data_file, monkeypatch):
+        path, _ = data_file
+        monkeypatch.setitem(cli.ESTIMATORS, "mean", (lambda data, args: args.beta, ()))
+        with pytest.raises(AttributeError, match="beta"):
+            main(["estimate", str(path), "--estimator", "mean"])
+        monkeypatch.setitem(cli._TABLES, "pulls", (cli._pulls_table, ("points",)))
+        with pytest.raises(AttributeError, match="horizon"):
+            main(["bounds", "--table", "pulls", "--out", str(path.parent / "t.csv")])
+
     @pytest.mark.parametrize("table, given", [
         ("kl", ["--sigma", "1", "--eps", "0.2", "--gap-min", "0.01", "--gap-max", "4",
                 "--points", "50"]),

@@ -5,7 +5,8 @@ module: it flips a comparison (``<`` and ``<=``, ``>`` and ``>=``, ``==``
 and ``!=``, ``is`` and ``is not``, ``in`` and ``not in``), swaps ``+`` and
 ``-`` or ``*`` and ``/`` (augmented assignments too), or bumps a numeric
 constant (an int by one, a float by one at zero and doubled elsewhere).
-Sites are sampled with a fixed seed.  Every mutant runs in one temporary
+``--max N`` runs N sites sampled with the fixed ``SEED``; without it every
+site runs.  Every mutant runs in one temporary
 copy of ``src/`` and ``tests/``, never in the checkout, under
 ``pytest -x -q -m "not acceptance"``; a mutant survives when that passes.
 The survivors go to a JSON list of ``file:line``, operator and source line.
@@ -13,7 +14,7 @@ The survivors go to a JSON list of ``file:line``, operator and source line.
 Run from the repository root, for example::
 
     python tools/mutate.py policies.py:_BasePolicy policies.py:Exp3.update \\
-        --max 40 --seed 1 --out mutants.json
+        --max 40 --out mutants.json
 
 A target is ``module.py`` (every function) or ``module.py:Name[.method]``.
 ``tools/survivors.json`` keeps the survivors of the committed run, each with
@@ -38,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/corrupted_bandits")
+SEED = 1  # of the site sample that --max draws
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "-m", "not acceptance"]
 
@@ -154,11 +156,9 @@ def run_suite(copy: Path, timeout: float) -> tuple[bool, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("targets", nargs="+", help="module.py or module.py:Name[.method]")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--max", type=int, default=0, help="sample at most this many sites (0: all)")
     parser.add_argument("--out", type=Path, default=Path("mutants.json"))
     parser.add_argument("--tmp", type=Path, default=None, help="where the temporary copy goes")
-    parser.add_argument("--list", action="store_true", help="print the sites and run nothing")
     args = parser.parse_args(argv)
 
     by_file: dict[str, list[str]] = {}
@@ -167,12 +167,8 @@ def main(argv: list[str] | None = None) -> int:
         by_file.setdefault(file, []).extend([name] if name else [])
     sites = [s for file, names in by_file.items() for s in collect_sites(file, names)]
     if args.max and args.max < len(sites):
-        sites = random.Random(args.seed).sample(sites, args.max)
+        sites = random.Random(SEED).sample(sites, args.max)
     sites.sort(key=lambda s: (s.file, s.line, s.node, s.slot))
-    if args.list:
-        for s in sites:
-            print(f"{s.file}:{s.line}  {s.operator:<16} {s.source}")
-        return 0
 
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         copy = Path(tmp)
@@ -202,7 +198,6 @@ def main(argv: list[str] | None = None) -> int:
                 survivors.append(site)
     report = {
         "targets": args.targets,
-        "seed": args.seed,
         "mutants": len(sites),
         "killed": len(sites) - len(survivors),
         "survivors": [
