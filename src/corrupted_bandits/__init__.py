@@ -46,6 +46,7 @@ from .harness import (
     bound_overlay,
     monte_carlo_regret,
     read_results,
+    resolve,
     run_episode,
     sweep,
     write_results,
@@ -58,8 +59,6 @@ from .policies import (
     RobustUCBMOM,
     SeqHuberUCB,
     UCB1,
-    build_huber_params,
-    make_policy,
 )
 from .theory import (
     GapProfile,

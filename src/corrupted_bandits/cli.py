@@ -43,6 +43,7 @@ from .harness import (
     resolve,
     sweep,
     sweep_points,
+    unread_fields,
     write_results,
 )
 from .policies import RobustUCBMOM
@@ -97,11 +98,19 @@ def _config_from_args(args: argparse.Namespace, **extra) -> ExperimentConfig:
     return config
 
 
+def _reject_unread(config: ExperimentConfig) -> None:
+    """Exit on a field that the config sets or sweeps and its policy does not read."""
+    unread = unread_fields(config)
+    if unread:
+        raise SystemExit(f"policy {config.policy} does not read {', '.join(unread)}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if config.overlay and config.policy not in OVERLAY_BOUNDS:
         raise SystemExit(f"run --overlay requires a policy in {tuple(OVERLAY_BOUNDS)}")
     _, env, _ = _checked(resolve, config)
+    _reject_unread(config)
     curve = monte_carlo_regret(config, env=env, n_jobs=args.jobs)
     overlays = {curve.label: bound_overlay(config, env=env)} if config.overlay else None
     write_results([curve], config.out, overlays=overlays, config=config)
@@ -119,6 +128,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit("sweep writes no bound overlay; use run --overlay for one point")
     for _, point in _checked(sweep_points, config):
         _checked(resolve, point)
+    _reject_unread(config)
     curves = sweep(config, n_jobs=args.jobs)
     write_results([c for _, c in curves], config.out, config=config)
     for value, curve in curves:

@@ -5,6 +5,10 @@ its own Philox stream, and the policy's tie-breaking randomness gets the
 stream at arm index ``k``.  Replications are therefore order-independent and
 can run in parallel without any shared state; results are merged by
 replication index so output is seed-deterministic regardless of worker count.
+
+``resolve`` is the one path from an ``ExperimentConfig`` to its environment
+and policy recipe: it fills unset fields from the preset, floors each arm's
+sigma, and builds the robust index policies' per-arm ``HuberParams``.
 """
 
 from __future__ import annotations
@@ -16,14 +20,15 @@ import numbers
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from .confidence import HuberParams, chebyshev_p, huber_bias_bound
 from .envs import BanditEnv, check_eps, check_positive, make_env
-from .policies import BIAS_RULES, PolicyBuild, check_clip, make_policy
+from .policies import PolicyBuild, check_clip
 from .theory import GapProfile, max_pulls_huber_ucb_simplified, max_pulls_seq_huber_ucb
 
 __all__ = [
@@ -31,6 +36,8 @@ __all__ = [
     "EpisodeResult",
     "RegretCurve",
     "resolve",
+    "resolve_p",
+    "unread_fields",
     "run_episode",
     "aggregate",
     "monte_carlo_regret",
@@ -41,6 +48,7 @@ __all__ = [
     "read_results",
     "PRESET_DEFAULTS",
     "OVERLAY_BOUNDS",
+    "FIELD_READERS",
 ]
 
 # Reproduction defaults per preset: threshold multiplier, bias handling, and
@@ -56,10 +64,27 @@ SWEEP_AXES = ("beta_mult", "eps_assumed", "eps_true")
 
 _AGG_ROWS, _WRITE_ROWS = 4096, 1024  # rows per block of aggregate's mean and of the CSV
 
-# Policy name -> the per-arm pull bound its regret overlay is built from.
+# Robust index policy (only these read HuberParams) -> the per-arm pull bound of its overlay.
 OVERLAY_BOUNDS = {
     "huber_ucb": max_pulls_huber_ucb_simplified,
     "seq_huber_ucb": max_pulls_seq_huber_ucb,
+}
+
+# Config field -> the policies that read it; every policy reads the fields not listed.
+FIELD_READERS = {
+    **dict.fromkeys(("beta_mult", "eps_assumed", "bias_rule", "p_mode", "p_value"),
+                    tuple(OVERLAY_BOUNDS)),
+    "exp3_clip": ("exp3",),
+}
+
+# Floor on an arm's analytic sigma, for Dirac (sigma = 0) inliers.
+SIGMA_FLOOR = 1e-12
+
+# Bias rule -> bound on |inlier mean - Huber functional| from an arm's sigma and beta.
+BIAS_RULES = {
+    "zero": lambda sigma, beta: 0.0,
+    "second_moment": huber_bias_bound,
+    "half_second_moment": lambda sigma, beta: 0.5 * huber_bias_bound(sigma, beta),
 }
 
 
@@ -140,6 +165,39 @@ def _arm_rngs(seed: int, rep: int, k: int) -> list[np.random.Generator]:
     ]
 
 
+def resolve_p(mode: str, value: float | None, sigma: float, beta: float, eps: float,
+              inlier=None) -> float:
+    """Pick the concentration probability ``p`` for one arm.
+
+    ``explicit`` takes ``value`` as given.  ``exact`` integrates the inlier
+    law over ``[mean - beta/2, mean + beta/2]``.  ``chebyshev`` (the default
+    mode elsewhere) uses the distribution-free bound, floored at 3/4 (the
+    canonical value at ``beta = 4 sigma``) so that small-``beta``
+    configurations remain runnable; when ``5 eps`` crowds out the floor, the
+    midpoint of ``(5 eps, 1)`` is used instead.  In every mode the result must
+    exceed ``5 eps`` or the configuration is rejected.
+    """
+    if mode == "explicit":
+        if value is None:
+            raise ValueError("explicit p mode requires a value")
+        p = float(value)
+    elif mode == "exact":
+        if inlier is None:
+            raise ValueError("exact p mode requires the inlier law")
+        mu = inlier.mean()
+        p = inlier.interval_prob(mu - beta / 2.0, mu + beta / 2.0)
+    elif mode == "chebyshev":
+        if 5.0 * eps >= 1.0:
+            raise ValueError("5*eps >= 1: no valid p exists")
+        floor = 0.75 if 5.0 * eps < 0.75 else 0.5 * (1.0 + 5.0 * eps)
+        p = max(chebyshev_p(sigma, beta), floor)
+    else:
+        raise ValueError("p mode must be 'explicit', 'exact', or 'chebyshev'")
+    if not 0.0 < p <= 1.0 or p <= 5.0 * eps:
+        raise ValueError(f"resolved p={p:g} unusable (needs 5*eps={5 * eps:g} < p <= 1)")
+    return p
+
+
 def resolve(
     config: ExperimentConfig, env: BanditEnv | None = None
 ) -> tuple[ExperimentConfig, BanditEnv, PolicyBuild]:
@@ -147,7 +205,28 @@ def resolve(
     cfg = config.resolved()
     if env is None:
         env = make_env(cfg.env, cfg.eps_true)
-    return cfg, env, make_policy(cfg, env)
+    sigmas = tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas)
+    arm_params = []
+    if cfg.policy in OVERLAY_BOUNDS:
+        eps = cfg.eps_assumed
+        for arm, sigma in zip(env.arms, sigmas):
+            beta = cfg.beta_mult * sigma
+            p = resolve_p(cfg.p_mode, cfg.p_value, sigma, beta, eps, inlier=arm.inlier)
+            bias = BIAS_RULES[cfg.bias_rule](sigma, beta)
+            arm_params.append(HuberParams(beta=beta, sigma=sigma, eps=eps, p=p, bias=bias))
+    return cfg, env, PolicyBuild(cfg.policy, cfg.horizon, tuple(arm_params), sigmas, cfg.exp3_clip)
+
+
+def unread_fields(config: ExperimentConfig) -> list[str]:
+    """The fields of ``FIELD_READERS`` that ``config`` sets or sweeps and its policy does not read.
+
+    A field counts as set when it differs from its ``ExperimentConfig``
+    default, so a sidecar's config runs again as it was written.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    return [name for name, readers in FIELD_READERS.items()
+            if config.policy not in readers
+            and (name == config.sweep_axis or getattr(config, name) != defaults[name])]
 
 
 def run_episode(env: BanditEnv, build: PolicyBuild, seed: int, rep: int = 0) -> EpisodeResult:

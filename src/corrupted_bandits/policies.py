@@ -5,8 +5,11 @@ The five index policies share one rule: each holds an estimator per arm and
 names a bonus closed form in :mod:`confidence`; an arm's index is its
 estimate plus its bonus, ``inf`` for an unpulled arm or an infinite bonus,
 which always wins (forced exploration).  Ties break uniformly at random.
-This module holds only policies; the per-arm estimators are in :mod:`estimators`,
-and an index policy reads each arm's pull count and estimate from its estimator.
+This module holds only policies and the ``PolicyBuild`` recipe that constructs
+one; the per-arm estimators are in :mod:`estimators`, and an index policy
+reads each arm's pull count and estimate from its estimator.  A recipe comes
+from an experiment's config through ``harness.resolve``, which reads every
+per-arm parameter.
 
 One policy instance serves one episode; state is never shared across
 replications.
@@ -16,17 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import confidence
-from .confidence import HuberParams, chebyshev_p, huber_bias_bound
-from .envs import BanditEnv, check_positive
+from .confidence import HuberParams
+from .envs import check_positive
 from .estimators import SequentialHuber, _ArmBuffer, _RewardLog, _RunningMean, median_of_means
-
-if TYPE_CHECKING:
-    from .harness import ExperimentConfig
 
 __all__ = [
     "HuberUCB",
@@ -36,9 +36,6 @@ __all__ = [
     "RobustUCBMOM",
     "Exp3",
     "POLICY_NAMES",
-    "build_huber_params",
-    "resolve_p",
-    "make_policy",
     "PolicyBuild",
     "check_clip",
 ]
@@ -277,71 +274,6 @@ _CONSTRUCTORS = {
 
 POLICY_NAMES = tuple(_CONSTRUCTORS)
 
-SIGMA_FLOOR = 1e-12
-
-# Bias rule -> bound on |inlier mean - Huber functional| from an arm's sigma and beta.
-BIAS_RULES = {
-    "zero": lambda sigma, beta: 0.0,
-    "second_moment": huber_bias_bound,
-    "half_second_moment": lambda sigma, beta: 0.5 * huber_bias_bound(sigma, beta),
-}
-
-
-def resolve_p(
-    mode: str,
-    value: float | None,
-    sigma: float,
-    beta: float,
-    eps: float,
-    inlier=None,
-) -> float:
-    """Pick the concentration probability ``p`` for one arm.
-
-    ``explicit`` takes ``value`` as given.  ``exact`` integrates the inlier
-    law over ``[mean - beta/2, mean + beta/2]``.  ``chebyshev`` (the default
-    mode elsewhere) uses the distribution-free bound, floored at 3/4 (the
-    canonical value at ``beta = 4 sigma``) so that small-``beta``
-    configurations remain runnable; when ``5 eps`` crowds out the floor, the
-    midpoint of ``(5 eps, 1)`` is used instead.  In every mode the result must
-    exceed ``5 eps`` or the configuration is rejected.
-    """
-    if mode == "explicit":
-        if value is None:
-            raise ValueError("explicit p mode requires a value")
-        p = float(value)
-    elif mode == "exact":
-        if inlier is None:
-            raise ValueError("exact p mode requires the inlier law")
-        mu = inlier.mean()
-        p = inlier.interval_prob(mu - beta / 2.0, mu + beta / 2.0)
-    elif mode == "chebyshev":
-        if 5.0 * eps >= 1.0:
-            raise ValueError("5*eps >= 1: no valid p exists")
-        floor = 0.75 if 5.0 * eps < 0.75 else 0.5 * (1.0 + 5.0 * eps)
-        p = max(chebyshev_p(sigma, beta), floor)
-    else:
-        raise ValueError("p mode must be 'explicit', 'exact', or 'chebyshev'")
-    if not 0.0 < p <= 1.0 or p <= 5.0 * eps:
-        raise ValueError(
-            f"resolved p={p:g} unusable (needs 5*eps={5 * eps:g} < p <= 1)"
-        )
-    return p
-
-
-def _sigmas(env: BanditEnv) -> tuple[float, ...]:
-    return tuple(max(float(s), SIGMA_FLOOR) for s in env.sigmas)
-
-
-def build_huber_params(env: BanditEnv, config: ExperimentConfig) -> list[HuberParams]:
-    """Per-arm parameters from an environment's analytic inlier moments and a resolved config."""
-    params, eps = [], config.eps_assumed
-    for arm, sigma in zip(env.arms, _sigmas(env)):
-        beta = config.beta_mult * sigma
-        p = resolve_p(config.p_mode, config.p_value, sigma, beta, eps, inlier=arm.inlier)
-        bias = BIAS_RULES[config.bias_rule](sigma, beta)
-        params.append(HuberParams(beta=beta, sigma=sigma, eps=eps, p=p, bias=bias))
-    return params
-
 
 @dataclass(frozen=True)
 class PolicyBuild:
@@ -364,15 +296,3 @@ class PolicyBuild:
     def build(self):
         return _CONSTRUCTORS[self.name](self)
 
-
-def make_policy(config: ExperimentConfig, env: BanditEnv) -> PolicyBuild:
-    """The config's policy, with its preset defaults filled in, as a build recipe for ``env``."""
-    cfg = config.resolved()
-    huber = cfg.policy in ("huber_ucb", "seq_huber_ucb")
-    return PolicyBuild(
-        name=cfg.policy,
-        horizon=cfg.horizon,
-        arm_params=tuple(build_huber_params(env, cfg)) if huber else (),
-        sigmas=_sigmas(env),
-        exp3_clip=cfg.exp3_clip,
-    )

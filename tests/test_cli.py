@@ -9,7 +9,8 @@ from corrupted_bandits import cli
 from corrupted_bandits.cli import main
 from corrupted_bandits.envs import PRESETS, make_env
 from corrupted_bandits.estimators import huber_estimate, mad_scale, median_of_means
-from corrupted_bandits.harness import SWEEP_AXES, read_results
+from corrupted_bandits.harness import FIELD_READERS, SWEEP_AXES, read_results
+from corrupted_bandits.policies import POLICY_NAMES
 
 
 @pytest.fixture
@@ -429,6 +430,67 @@ class TestIgnoredFlags:
         default = capsys.readouterr().out
         main(["estimate", str(path), "--estimator", estimator, *given])
         assert capsys.readouterr().out == default
+
+
+
+class TestFieldsThePolicyDoesNotRead:
+    # At the parent each of these ran and recorded the setting in its sidecar,
+    # though the policy never read it (sweep axes: one identical curve per value).
+    @pytest.mark.parametrize("policy, field, value", [
+        ("ucb1", "beta_mult", 7.0),
+        ("robust_ucb_mom", "eps_assumed", 0.3),
+        ("exp3", "bias_rule", "second_moment"),
+        ("ucb1", "p_mode", "bogus"),
+        ("robust_ucb_catoni", "p_value", 0.9),
+        ("huber_ucb", "exp3_clip", [0.0, 1.0]),
+    ])
+    def test_config_entry_exits(self, tmp_path, no_runs, policy, field, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"policy": policy, "horizon": 20, "reps": 1, field: value}))
+        out = tmp_path / "res.csv"
+        message = _exits_with_one_line(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert message == f"policy {policy} does not read {field}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy, flag, field", [
+        ("ucb1", "--beta-mult", "beta_mult"),
+        ("exp3", "--eps-assumed", "eps_assumed"),
+    ])
+    def test_run_flag_exits(self, tmp_path, no_runs, policy, flag, field):
+        out = tmp_path / "res.csv"
+        message = _exits_with_one_line(["run", "--policy", policy, "--horizon", "20", "--reps",
+                                        "1", flag, "0.3", "--out", str(out)])
+        assert message == f"policy {policy} does not read {field}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy, axis", [("exp3", "beta_mult"), ("ucb1", "eps_assumed")])
+    def test_sweep_axis_exits(self, tmp_path, no_runs, policy, axis):
+        out = tmp_path / "sweep.csv"
+        message = _exits_with_one_line(["sweep", "--env", "bernoulli", "--policy", policy,
+                                        "--horizon", "20", "--reps", "1", "--axis", axis,
+                                        "--values", "0.01,0.02", "--out", str(out)])
+        assert message == f"policy {policy} does not read {axis}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_a_sidecar_config_runs_again(self, tmp_path, policy):
+        # Unset fields are written at their defaults, which count as not set.
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        main(["run", "--policy", policy, "--horizon", "20", "--reps", "1", "--out", str(first)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            json.loads(first.with_suffix(".meta.json").read_text())["config"]))
+        assert main(["run", "--config", str(cfg_path), "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_every_field_a_policy_reads_is_accepted(self, tmp_path, policy):
+        values = {"beta_mult": 2.0, "eps_assumed": 0.01, "bias_rule": "second_moment",
+                  "p_mode": "explicit", "p_value": 0.9, "exp3_clip": [0.0, 1.0]}
+        read = {f: v for f, v in values.items() if policy in FIELD_READERS[f]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"policy": policy, "horizon": 20, "reps": 1, **read}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 0
 
 
 class TestNonFiniteFlags:

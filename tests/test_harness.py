@@ -17,11 +17,12 @@ from corrupted_bandits.harness import (
     monte_carlo_regret,
     read_results,
     resolve,
+    resolve_p,
     run_episode,
     sweep,
     write_results,
 )
-from corrupted_bandits.policies import HuberUCB, resolve_p
+from corrupted_bandits.policies import HuberUCB
 from corrupted_bandits.theory import regret_decomposition
 
 

@@ -8,7 +8,14 @@ from corrupted_bandits import confidence
 from corrupted_bandits.confidence import HuberParams, exploration_threshold
 from corrupted_bandits.envs import PRESETS, BanditEnv, CorruptedArm, Dirac, Gaussian, make_env
 from corrupted_bandits.estimators import floor_pow2, huber_estimate, median_of_means
-from corrupted_bandits.harness import ExperimentConfig, resolve, run_episode
+from corrupted_bandits.harness import (
+    BIAS_RULES,
+    SIGMA_FLOOR,
+    ExperimentConfig,
+    resolve,
+    resolve_p,
+    run_episode,
+)
 from corrupted_bandits.policies import (
     TIE_TOL,
     Exp3,
@@ -17,14 +24,11 @@ from corrupted_bandits.policies import (
     RobustUCBMOM,
     SeqHuberUCB,
     UCB1,
-    BIAS_RULES,
     POLICY_NAMES,
     PolicyBuild,
-    SIGMA_FLOOR,
     _ArmBuffer,
     _IndexPolicy,
     check_clip,
-    resolve_p,
 )
 
 INF = math.inf

@@ -24,8 +24,8 @@ from corrupted_bandits.estimators import (
     huber_estimate,
     median_of_means,
 )
-from corrupted_bandits.harness import SWEEP_AXES
-from corrupted_bandits.policies import BIAS_RULES, POLICY_NAMES, _ArmBuffer
+from corrupted_bandits.harness import BIAS_RULES, FIELD_READERS, SWEEP_AXES
+from corrupted_bandits.policies import POLICY_NAMES, _ArmBuffer
 from corrupted_bandits.theory import min_pulls_bernoulli
 
 
@@ -196,6 +196,11 @@ def test_bounds_flags_never_traceback(
                     *_flags(values, _TABLES[table][1])])
 
 
+def _read_by(policy: str, values: dict) -> dict:
+    """The drawn config fields that the policy reads; the others would end the command."""
+    return {name: value for name, value in values.items() if policy in FIELD_READERS[name]}
+
+
 # Any float or integer, with the valid ranges mixed in so that runs happen too.
 rates = st.one_of(st.floats(0.0, 0.5), st.floats()).map(repr)
 multipliers = st.one_of(st.floats(0.0, 20.0), st.floats()).map(repr)
@@ -211,9 +216,9 @@ PINNED = ["--horizon=20", "--reps=1", "--jobs=1"]
 def test_run_flags_never_traceback(tmp_path_factory, env, policy, eps_true, eps_assumed,
                                    beta_mult, seed):
     out = tmp_path_factory.getbasetemp() / "run.csv"
+    read = _read_by(policy, {"eps_assumed": eps_assumed, "beta_mult": beta_mult})
     _exits_cleanly(["run", f"--env={env}", f"--policy={policy}", f"--eps-true={eps_true}",
-                    f"--eps-assumed={eps_assumed}", f"--beta-mult={beta_mult}", f"--seed={seed}",
-                    f"--out={out}", *PINNED])
+                    *_flags(read, read), f"--seed={seed}", f"--out={out}", *PINNED])
 
 
 @given(
@@ -230,9 +235,10 @@ def test_run_flags_never_traceback(tmp_path_factory, env, policy, eps_true, eps_
 def test_sweep_flags_never_traceback(tmp_path_factory, env, policy, axis, values, eps_true,
                                      eps_assumed, beta_mult, seed):
     out = tmp_path_factory.getbasetemp() / "sweep.csv"
+    read = _read_by(policy, {"eps_assumed": eps_assumed, "beta_mult": beta_mult})
     _exits_cleanly(["sweep", f"--env={env}", f"--policy={policy}", f"--axis={axis}",
-                    f"--values={values}", f"--eps-true={eps_true}", f"--eps-assumed={eps_assumed}",
-                    f"--beta-mult={beta_mult}", f"--seed={seed}", f"--out={out}", *PINNED])
+                    f"--values={values}", f"--eps-true={eps_true}", *_flags(read, read),
+                    f"--seed={seed}", f"--out={out}", *PINNED])
 
 
 # Config-file-only fields, and the run's size, with valid values mixed into junk.
@@ -257,9 +263,9 @@ overlays = st.one_of(st.booleans(), st.none(), st.integers(), st.text(max_size=6
 def test_config_file_never_tracebacks(tmp_path_factory, env, policy, p_mode, p_value, bias_rule,
                                       clip, horizon, seed, overlay):
     base = tmp_path_factory.getbasetemp()
-    config = {"env": env, "policy": policy, "p_mode": p_mode, "p_value": p_value,
-              "bias_rule": bias_rule, "exp3_clip": clip, "horizon": horizon, "seed": seed,
-              "overlay": overlay}
+    config = {"env": env, "policy": policy, "horizon": horizon, "seed": seed, "overlay": overlay,
+              **_read_by(policy, {"p_mode": p_mode, "p_value": p_value, "bias_rule": bias_rule,
+                                  "exp3_clip": clip})}
     (base / "config.json").write_text(json.dumps(config))
     _exits_cleanly(["run", f"--config={base / 'config.json'}", "--reps=1", "--jobs=1",
                     f"--out={base / 'config_run.csv'}"])
