@@ -72,7 +72,6 @@ from .theory import (
     max_pulls_seq_huber_ucb,
     min_pulls_bernoulli,
     min_pulls_student,
-    regret_decomposition,
     student_kl_bound,
 )
 

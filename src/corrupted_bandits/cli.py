@@ -34,6 +34,7 @@ from .estimators import (
     median_of_means,
 )
 from .harness import (
+    FIELD_READERS,
     OVERLAY_BOUNDS,
     SWEEP_AXES,
     ExperimentConfig,
@@ -102,11 +103,17 @@ def _reject_unread(config: ExperimentConfig) -> None:
     """Exit on a field that the config sets or sweeps and its policy does not read."""
     unread = unread_fields(config)
     if unread:
-        raise SystemExit(f"policy {config.policy} does not read {', '.join(unread)}")
+        reader = f"policy {config.policy}"
+        if "p_value" in unread and config.policy in FIELD_READERS["p_value"]:
+            reader += f" in p_mode {config.p_mode}"
+        raise SystemExit(f"{reader} does not read {', '.join(unread)}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    swept = [name for name in ("sweep_axis", "sweep_values") if getattr(config, name)]
+    if swept:
+        raise SystemExit(f"run does not read {', '.join(swept)}; use sweep")
     if config.overlay and config.policy not in OVERLAY_BOUNDS:
         raise SystemExit(f"run --overlay requires a policy in {tuple(OVERLAY_BOUNDS)}")
     _, env, _ = _checked(resolve, config)

@@ -196,28 +196,15 @@ def exploration_threshold(t: int, cfg: HuberParams) -> float:
     return math.log(t) * 98.0 / cfg.explore_denom * cfg.explore_k * cfg.explore_k
 
 
-def huber_bias_bound(
-    sigma: float,
-    beta: float,
-    q: float = 2.0,
-    centered_moment: float | None = None,
-) -> float:
-    """Bound on |inlier mean - Huber functional| from a centered q-th moment.
+def huber_bias_bound(sigma: float, beta: float) -> float:
+    """Bound ``2 sigma^2 / beta`` on |inlier mean - Huber functional|, from the second moment.
 
-    ``2 m_q / ((q - 1) beta^(q-1))``; at ``q = 2`` with ``m_2 = sigma^2`` this
-    is ``2 sigma^2 / beta``.  Symmetric inliers should use 0 instead.  It is
-    a bound where ``beta^2 >= 9 sigma^2`` and is evaluated as printed anywhere.
+    Symmetric inliers should use 0 instead.  It is a bound where
+    ``beta^2 >= 9 sigma^2`` and is evaluated as printed anywhere.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
     check_positive(beta, "beta")
     check_positive(sigma, "sigma")
-    if centered_moment is None:
-        if q != 2:
-            raise ValueError("centered_moment is required for q != 2")
-        centered_moment = sigma * sigma
-    check_positive(centered_moment, "centered_moment", nonnegative=True)
-    return 2.0 * centered_moment / ((q - 1.0) * beta ** (q - 1.0))
+    return 2.0 * (sigma * sigma) / beta
 
 
 def huber_bonus(s: int, t: int, cfg: HuberParams) -> float:

@@ -253,10 +253,6 @@ class BanditEnv:
     def gaps(self) -> np.ndarray:
         return self.means.max() - self.means
 
-    @cached_property
-    def optimal_arm(self) -> int:
-        return int(np.argmax(self.means))
-
 
 def _gaussian_outliers() -> tuple[Distribution, ...]:
     return (Gaussian(100.0, 1.0), Gaussian(100.0, 1.0), Gaussian(-1000.0, 1.0))

@@ -49,7 +49,13 @@ __all__ = [
     "PRESET_DEFAULTS",
     "OVERLAY_BOUNDS",
     "FIELD_READERS",
+    "RNG_CONTRACT",
 ]
+
+# Version of the randomness contract: the Philox stream of each (seed, rep, arm)
+# and the order in which each step draws from them.  A change to either bumps
+# it and re-records tests/golden_digests.json.
+RNG_CONTRACT = 1
 
 # Reproduction defaults per preset: threshold multiplier, bias handling, and
 # the reward range Exp3 clips into (canonical [0, 1] for Bernoulli rewards).
@@ -71,6 +77,7 @@ OVERLAY_BOUNDS = {
 }
 
 # Config field -> the policies that read it; every policy reads the fields not listed.
+# Those policies read p_value only in the explicit p mode (see unread_fields).
 FIELD_READERS = {
     **dict.fromkeys(("beta_mult", "eps_assumed", "bias_rule", "p_mode", "p_value"),
                     tuple(OVERLAY_BOUNDS)),
@@ -152,7 +159,6 @@ class ExperimentConfig:
 @dataclass
 class EpisodeResult:
     actions: np.ndarray
-    rewards: np.ndarray
     corrupted: np.ndarray
 
 
@@ -220,12 +226,13 @@ def resolve(
 def unread_fields(config: ExperimentConfig) -> list[str]:
     """The fields of ``FIELD_READERS`` that ``config`` sets or sweeps and its policy does not read.
 
-    A field counts as set when it differs from its ``ExperimentConfig``
-    default, so a sidecar's config runs again as it was written.
+    ``p_value`` is unread outside the explicit p mode.  A field counts as set
+    when it differs from its ``ExperimentConfig`` default, so a sidecar's
+    config runs again as it was written.
     """
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     return [name for name, readers in FIELD_READERS.items()
-            if config.policy not in readers
+            if (config.policy not in readers or name == "p_value" and config.p_mode != "explicit")
             and (name == config.sweep_axis or getattr(config, name) != defaults[name])]
 
 
@@ -236,16 +243,14 @@ def run_episode(env: BanditEnv, build: PolicyBuild, seed: int, rep: int = 0) -> 
     policy_rng = streams[env.k]
     policy = build.build()
     actions = np.empty(horizon, dtype=np.int64)
-    rewards = np.empty(horizon, dtype=float)
     corrupted = np.empty(horizon, dtype=bool)
     for step in range(horizon):
         arm = policy.select_arm(policy_rng)
         x, was_corrupted = env.arms[arm].sample(streams[arm])
         policy.update(arm, x)
         actions[step] = arm
-        rewards[step] = x
         corrupted[step] = was_corrupted
-    return EpisodeResult(actions, rewards, corrupted)
+    return EpisodeResult(actions, corrupted)
 
 
 @dataclass
@@ -412,7 +417,8 @@ def write_results(
 
     Floats are written with 17 significant digits so a reparse reproduces the
     arrays bit-exactly; rows go out in blocks, so memory does not grow with the
-    horizon.  The sidecar lists each curve's arms: beta, sigma, beta_valid.
+    horizon.  The sidecar records ``RNG_CONTRACT`` and lists each curve's arms:
+    beta, sigma, beta_valid.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -436,6 +442,7 @@ def write_results(
     meta = {
         "config": config.to_dict() if config is not None else None,
         "base_seed": config.seed if config is not None else None,
+        "rng_contract": RNG_CONTRACT,
         "curves": [
             {"label": c.label, "reps": c.reps, "final_regret": c.final,
              "arms": [{"beta": a.beta, "sigma": a.sigma, "beta_valid": a.beta_valid}

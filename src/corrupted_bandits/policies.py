@@ -102,12 +102,6 @@ class _IndexPolicy(_BasePolicy):
             vals.append(INF if math.isinf(b) else est.value + b)
         return vals
 
-    def arm_index(self, arm: int, t: int) -> float:
-        return self._index_pass(t)[arm]
-
-    def indices(self) -> np.ndarray:
-        return np.array(self._index_pass(self.t + 1))
-
     def select_arm(self, rng: np.random.Generator) -> int:
         t = self.t + 1
         vals = self._index_pass(t)

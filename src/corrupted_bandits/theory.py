@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "max_pulls_huber_ucb",
     "max_pulls_huber_ucb_simplified",
     "max_pulls_seq_huber_ucb",
-    "regret_decomposition",
 ]
 
 INF = math.inf
@@ -303,13 +301,3 @@ def max_pulls_seq_huber_ucb(n, gap: GapProfile, cfg: HuberParams):
     """
     return _max_pulls_explicit(n, gap, cfg, 18.0, (128.0, 2.0), (80.0, 3.0), 28.0)
 
-
-def regret_decomposition(gaps: Sequence[float], pulls: Sequence[float]) -> float:
-    """Regret as the gap-weighted sum of (expected) pull counts."""
-    g = np.asarray(gaps, dtype=float)
-    t = np.asarray(pulls, dtype=float)
-    if g.shape != t.shape:
-        raise ValueError("gaps and pulls must have matching lengths")
-    if np.any(g < 0):
-        raise ValueError("gaps must be nonnegative")
-    return float(g @ t)

@@ -44,8 +44,6 @@ SITES = {
     "HuberParams.bias": (lambda v: HuberParams(beta=4.0, sigma=1.0, bias=v), "bias"),
     "huber_bias_bound.beta": (lambda v: huber_bias_bound(1.0, v), "beta"),
     "huber_bias_bound.sigma": (lambda v: huber_bias_bound(v, 4.0), "sigma"),
-    "huber_bias_bound.centered_moment": (
-        lambda v: huber_bias_bound(1.0, 4.0, centered_moment=v), "centered_moment"),
     "RobustUCBCatoni": (lambda v: RobustUCBCatoni([1.0, v]), "sigmas"),
     "RobustUCBMOM": (lambda v: RobustUCBMOM([1.0, v]), "sigmas"),
     "ExperimentConfig": (lambda v: ExperimentConfig(policy="ucb1", beta_mult=v), "beta_mult"),

@@ -472,6 +472,46 @@ class TestFieldsThePolicyDoesNotRead:
         assert message == f"policy {policy} does not read {axis}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [{}, {"p_mode": "exact"}], ids=["chebyshev", "exact"])
+    def test_p_value_outside_the_explicit_mode_exits(self, tmp_path, no_runs, mode):
+        # At the parent the run ignored p_value and recorded it in its sidecar.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"env": "student", "policy": "huber_ucb", "horizon": 20,
+                                        "reps": 1, "p_value": 0.9, **mode}))
+        out = tmp_path / "res.csv"
+        message = _exits_with_one_line(["run", "--config", str(cfg_path), "--out", str(out)])
+        p_mode = mode.get("p_mode", "chebyshev")
+        assert message == f"policy huber_ucb in p_mode {p_mode} does not read p_value"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, named", [
+        ({"sweep_axis": "beta_mult", "sweep_values": [0.5, 16]}, "sweep_axis, sweep_values"),
+        ({"sweep_axis": "beta_mult"}, "sweep_axis"),
+    ], ids=["axis-and-values", "axis"])
+    def test_run_exits_on_sweep_entries(self, tmp_path, no_runs, entries, named):
+        # At the parent run wrote the CSV of the run without them.
+        cfg_path = tmp_path / "sw.json"
+        cfg_path.write_text(json.dumps(entries))
+        out = tmp_path / "res.csv"
+        message = _exits_with_one_line(["run", "--config", str(cfg_path), "--env", "student",
+                                        "--policy", "huber_ucb", "--horizon", "20", "--reps",
+                                        "1", "--out", str(out)])
+        assert message == f"run does not read {named}; use sweep"
+        assert not out.exists()
+
+    def test_a_sweep_sidecar_config_sweeps_again(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        axis = ["--axis", "beta_mult", "--values", "0.5,16"]
+        main(["sweep", "--env", "student", "--policy", "huber_ucb", "--horizon", "20",
+              "--reps", "1", *axis, "--out", str(first)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            json.loads(first.with_suffix(".meta.json").read_text())["config"]))
+        assert main(["sweep", "--config", str(cfg_path), *axis, "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        with pytest.raises(SystemExit, match="^run does not read sweep_axis, sweep_values"):
+            main(["run", "--config", str(cfg_path), "--out", str(second)])
+
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_a_sidecar_config_runs_again(self, tmp_path, policy):
         # Unset fields are written at their defaults, which count as not set.

@@ -204,16 +204,6 @@ class TestBiasBound:
     def test_variance_case(self):
         assert huber_bias_bound(1.0, 4.0) == 0.5
 
-    def test_third_moment_case(self):
-        m3 = 2.7
-        assert huber_bias_bound(1.0, 4.0, q=3.0, centered_moment=m3) == pytest.approx(
-            m3 / 16.0
-        )
-
-    def test_q_domain(self):
-        with pytest.raises(ValueError):
-            huber_bias_bound(1.0, 4.0, q=1.5)
-
     def test_small_beta_evaluated(self):
         # beta^2 < 9 sigma^2 lies outside the bound's region; the value is still returned
         assert huber_bias_bound(1.0, 1.0) == 2.0

@@ -5,8 +5,10 @@ is run for two seeds at a small horizon, and the mean, stderr and mean-pull
 arrays are hashed bit for bit, as are the bound overlays of both robust index
 policies.  The digests in ``golden_digests.json`` were recorded from the
 scalar per-step engine; a change that alters any curve for a fixed
-``(seed, rep)`` fails here.  A change that breaks the RNG contract on
-purpose re-records them with::
+``(seed, rep)`` fails here.  The file records the ``harness.RNG_CONTRACT``
+it was recorded under, and every test first checks it against the package's.
+A change that breaks the RNG contract on purpose bumps that constant and
+re-records the digests with::
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -21,7 +23,12 @@ import numpy as np
 import pytest
 
 from corrupted_bandits.envs import PRESETS
-from corrupted_bandits.harness import ExperimentConfig, bound_overlay, monte_carlo_regret
+from corrupted_bandits.harness import (
+    RNG_CONTRACT,
+    ExperimentConfig,
+    bound_overlay,
+    monte_carlo_regret,
+)
 from corrupted_bandits.policies import POLICY_NAMES
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -83,7 +90,11 @@ def _overlay_key(env, eps, policy) -> str:
 
 
 def _recorded() -> dict:
-    return json.loads(DIGESTS.read_text())
+    data = json.loads(DIGESTS.read_text())
+    assert data["contract"] == RNG_CONTRACT, (
+        f"the digests were recorded under RNG contract {data['contract']} and the package "
+        f"is at contract {RNG_CONTRACT}: re-record them")
+    return data
 
 
 @pytest.mark.parametrize("env,eps,policy,seed", CURVE_CASES,
@@ -102,6 +113,7 @@ def test_overlay_digests(env, eps, policy):
 
 def record() -> None:
     data = {
+        "contract": RNG_CONTRACT,
         "horizon": HORIZON,
         "reps": REPS,
         "curves": {_curve_key(*case): curve_digests(*case) for case in CURVE_CASES},

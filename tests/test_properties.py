@@ -197,8 +197,11 @@ def test_bounds_flags_never_traceback(
 
 
 def _read_by(policy: str, values: dict) -> dict:
-    """The drawn config fields that the policy reads; the others would end the command."""
-    return {name: value for name, value in values.items() if policy in FIELD_READERS[name]}
+    """The drawn config fields that the policy reads; the others would end the command.
+
+    ``p_value`` is read only in the explicit p mode."""
+    return {name: value for name, value in values.items() if policy in FIELD_READERS[name]
+            and (name != "p_value" or values.get("p_mode") == "explicit")}
 
 
 # Any float or integer, with the valid ranges mixed in so that runs happen too.

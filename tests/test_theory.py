@@ -16,7 +16,6 @@ from corrupted_bandits.theory import (
     max_pulls_seq_huber_ucb,
     min_pulls_bernoulli,
     min_pulls_student,
-    regret_decomposition,
     student_kl_bound,
 )
 
@@ -328,22 +327,6 @@ class TestUpperBounds:
                             assert sharp <= loose * (1 + 1e-12)
                             count += 1
         assert count >= 500
-
-
-class TestRegretDecomposition:
-    def test_all_optimal(self):
-        assert regret_decomposition([0.5, 0.0], [0.0, 100.0]) == 0.0
-
-    def test_hand_example(self):
-        assert regret_decomposition([0.89, 0.02, 0.0], [10, 50, 940]) == pytest.approx(9.9)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            regret_decomposition([0.1], [1, 2])
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            regret_decomposition([-0.1, 0.0], [1, 2])
 
 
 class TestProxyConstantNote:

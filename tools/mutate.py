@@ -7,7 +7,8 @@ and ``!=``, ``is`` and ``is not``, ``in`` and ``not in``), swaps ``+`` and
 constant (an int by one, a float by one at zero and doubled elsewhere).
 ``--max N`` runs N sites sampled with the fixed ``SEED``; without it every
 site runs.  Every mutant runs in one temporary
-copy of ``src/`` and ``tests/``, never in the checkout, under
+copy of ``src/``, ``tests/`` and what the tests read (``tools/``,
+``README.md``), never in the checkout, under
 ``pytest -x -q -m "not acceptance"``; a mutant survives when that passes.
 The survivors go to a JSON list of ``file:line``, operator and source line.
 
@@ -17,8 +18,8 @@ Run from the repository root, for example::
         --max 40 --out mutants.json
 
 A target is ``module.py`` (every function) or ``module.py:Name[.method]``.
-``tools/survivors.json`` keeps the survivors of the committed run, each with
-the test that now kills it or the reason it is equivalent.
+``tools/survivors.json`` keeps each committed run's survivors, each with the
+test that now kills it or the reason it is equivalent.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def collect_sites(file: str, names: list[str]) -> list[Site]:
     return sites
 
 
-def mutant_source(site: Site) -> str:
-    tree = ast.parse((ROOT / PACKAGE / site.file).read_text())
+def mutant_source(site: Site, text: str) -> str:
+    """``text``, the source of ``site.file``, with the site's change applied."""
+    tree = ast.parse(text)
     _mutation(list(ast.walk(tree))[site.node], site.slot)
     return ast.unparse(tree) + "\n"
 
@@ -172,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests", "pyproject.toml"):
+        for part in ("src", "tests", "tools", "README.md", "pyproject.toml"):
             src = ROOT / part
             if src.is_dir():
                 shutil.copytree(src, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
@@ -186,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         for i, site in enumerate(sites, 1):
             target = copy / PACKAGE / site.file
             original = target.read_text()
-            target.write_text(mutant_source(site))
+            target.write_text(mutant_source(site, original))
             try:
                 survived, seconds = run_suite(copy, timeout=3 * base + 60)
             finally:
