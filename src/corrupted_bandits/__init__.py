@@ -35,8 +35,6 @@ from .estimators import (
     catoni_estimate,
     floor_pow2,
     huber_estimate,
-    influence,
-    influence_derivative,
     mad_scale,
     median_of_means,
 )
@@ -72,7 +70,6 @@ from .theory import (
     max_pulls_seq_huber_ucb,
     min_pulls_bernoulli,
     min_pulls_student,
-    student_kl_bound,
 )
 
 __version__ = "0.1.0"

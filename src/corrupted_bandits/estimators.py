@@ -36,8 +36,6 @@ import numpy as np
 from .envs import check_positive
 
 __all__ = [
-    "influence",
-    "influence_derivative",
     "huber_estimate",
     "catoni_estimate",
     "median_of_means",
@@ -57,29 +55,6 @@ MAX_SOLVER_ITER = 200
 
 class HuberSolverError(RuntimeError):
     """Root finder failed to reach tolerance; indicates a solver bug."""
-
-
-def influence(x, beta: float):
-    """Clipping influence function: identity on [-beta, beta], saturated outside.
-
-    Odd, bounded by ``beta`` in absolute value, continuous at the clip points.
-    Accepts scalars or arrays.
-    """
-    check_positive(beta, "beta")
-    if isinstance(x, np.ndarray):
-        return np.clip(x, -beta, beta)
-    return min(max(x, -beta), beta)
-
-
-def influence_derivative(x, beta: float):
-    """Derivative of :func:`influence`: indicator of the unclipped region.
-
-    Uses the closed-interval convention: equals 1 at ``|x| == beta``.
-    """
-    check_positive(beta, "beta")
-    if isinstance(x, np.ndarray):
-        return (np.abs(x) <= beta).astype(float)
-    return 1.0 if abs(x) <= beta else 0.0
 
 
 def default_root_tol(n: int, beta: float) -> float:
@@ -284,11 +259,6 @@ class SequentialHuber:
         # Total samples touched by batch recomputations; bounded by 2n.
         self.solver_samples = 0
 
-    @property
-    def buffer(self) -> np.ndarray:
-        """Chronological view of the samples seen so far."""
-        return self._buf[: self.count]
-
     def update(self, x: float) -> None:
         if self.count == self._buf.size:
             self._buf = _doubled(self._buf, self.count)
@@ -304,7 +274,8 @@ class SequentialHuber:
             self.anchor = huber_estimate(buf, self.beta)
             self.solver_samples += t
             self.psi_sum = 0.0
-            resid = buf - self.anchor
+            with np.errstate(invalid="ignore"):  # an infinite anchor: inf - inf is nan, not counted
+                resid = buf - self.anchor
             self.psi_prime_sum = float(np.count_nonzero(np.abs(resid, out=resid) <= self.beta))
             self.value = self.anchor
             return

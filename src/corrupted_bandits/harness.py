@@ -119,7 +119,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, low in (("horizon", 1), ("reps", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")

@@ -65,11 +65,11 @@ class _IndexPolicy(_BasePolicy):
     """An estimator and parameters per arm, a bonus closed form, and the one index rule.
 
     ``estimators[arm]`` has ``update(x)``, ``count`` and ``value``, and is the
-    arm's only record: ``counts`` is read from it.  The bonus is the function
-    named ``_bonus_name`` in :mod:`confidence`, called as
-    ``bonus(s, t, params[arm])``.  A policy whose estimate depends on the step
-    defines ``_estimate(arm, t)``, which sets and returns ``estimators[arm].value``
-    for step ``t``; it runs for every pulled arm before each pass.
+    arm's only record.  The bonus is the function named ``_bonus_name`` in
+    :mod:`confidence`, called as ``bonus(s, t, params[arm])``.  A policy whose
+    estimate depends on the step defines ``_estimate(arm, t)``, which sets and
+    returns ``estimators[arm].value`` for step ``t``; it runs for every pulled
+    arm before each pass.
     """
 
     _estimate = None
@@ -78,11 +78,6 @@ class _IndexPolicy(_BasePolicy):
         super().__init__(len(estimators))
         self.params = list(arm_params)
         self.estimators = estimators
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Each arm's pull count, read from its estimator."""
-        return np.array([est.count for est in self.estimators], dtype=np.int64)
 
     def update(self, arm: int, reward: float) -> None:
         self._record(arm, reward)
@@ -210,8 +205,7 @@ class Exp3(_BasePolicy):
     update (the weights diverge under unbounded observations otherwise); a
     reward at the bottom of the range leaves the weights untouched.
     Learning rate ``sqrt(ln k / (k n))`` for a known horizon ``n``.
-    Weights are kept in log space; with no per-arm estimator, the policy
-    keeps its own pull ``counts``.
+    Weights are kept in log space.
     """
 
     def __init__(self, k: int, horizon: int, clip: tuple[float, float]):
@@ -220,7 +214,6 @@ class Exp3(_BasePolicy):
             raise ValueError("horizon must be >= 1")
         self.clip = check_clip(clip)
         self.eta = math.sqrt(math.log(k) / (k * horizon))
-        self.counts = np.zeros(k, dtype=np.int64)
         self.log_weights = np.zeros(k)
         # The probabilities of the last draw, handed from select_arm to the
         # update of the same step; the weights change only in update.
@@ -248,7 +241,6 @@ class Exp3(_BasePolicy):
     def update(self, arm: int, reward: float) -> None:
         probs = self.probabilities() if self._drawn is None else self._drawn
         self._record(arm, reward)
-        self.counts[arm] += 1
         self._drawn = None
         lo, hi = self.clip
         clipped = min(max(reward, lo), hi)

@@ -18,7 +18,6 @@ from .envs import check_eps, check_positive
 
 __all__ = [
     "GapProfile",
-    "student_kl_bound",
     "corrupted_bernoulli_pair",
     "corrupted_bernoulli_kl",
     "corrupted_bernoulli_kl_bounds",
@@ -47,29 +46,9 @@ class GapProfile:
         check_positive(self.sigma, "sigma")
         check_eps(self.eps)
 
-    @property
-    def corrupted_gap(self) -> float:
-        """Effective distinguishability gap under corruption: delta (1 - eps) - 2 eps sigma."""
-        return self.delta * (1.0 - self.eps) - 2.0 * self.eps * self.sigma
-
     def shifted_gap(self, p: float, beta: float, bias: float = 0.0) -> float:
         """Upper-bound analogue ``(delta - 2 bias)(p - eps) - 8 beta eps``."""
         return (self.delta - 2.0 * bias) * (p - self.eps) - 8.0 * beta * self.eps
-
-
-def student_kl_bound(df: float, gap: float) -> float:
-    """KL upper bound between unit-scale Student laws ``gap`` apart.
-
-    Two-branch form; the branches are evaluated exactly as printed and need
-    not meet at ``gap = 1``.
-    """
-    if df <= 1:
-        raise ValueError("df must exceed 1")
-    check_positive(gap, "gap", nonnegative=True)
-    coeff = (df + 1.0) ** 2 / (5.0 * math.sqrt(df))
-    if gap <= 1.0:
-        return 3.0 ** (df - 1.0) * coeff * gap * gap
-    return (df + 1.0) * math.log(gap) + math.log(3.0**df * coeff)
 
 
 def _check_alpha_eps(alpha: float, eps: float) -> None:
@@ -83,28 +62,13 @@ class BernoulliPair:
     """Two corrupted two-point laws on {0, 1}, mirrored around 1/2.
 
     ``q0``/``q1`` are the success probabilities of the corrupted bad and good
-    arms.  ``gap``/``sigma`` describe the uncorrupted pair; ``corrupted_gap``
-    is the exact mean difference of the corrupted laws,
-    ``gap (1 - eps) - eps``, which is dominated by the conventional
-    ``gap (1 - eps) - 2 eps sigma`` since ``2 sigma <= 1``.
+    arms.
     """
 
     alpha: float
     eps: float
     q0: float
     q1: float
-
-    @property
-    def gap(self) -> float:
-        return 1.0 - 2.0 * self.alpha
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.alpha * (1.0 - self.alpha))
-
-    @property
-    def corrupted_gap(self) -> float:
-        return self.q1 - self.q0
 
 
 def corrupted_bernoulli_pair(alpha: float, eps: float) -> BernoulliPair:

@@ -1,18 +1,14 @@
 """Every site that requires a finite positive (or nonnegative) value rejects nan and +-inf."""
 
 import math
+from argparse import Namespace
 
 import pytest
 
+from corrupted_bandits.cli import _kl_table
 from corrupted_bandits.confidence import HuberParams, chebyshev_p, huber_bias_bound
 from corrupted_bandits.envs import Gaussian, Pareto, StudentT, Weibull, check_positive
-from corrupted_bandits.estimators import (
-    SequentialHuber,
-    catoni_estimate,
-    huber_estimate,
-    influence,
-    influence_derivative,
-)
+from corrupted_bandits.estimators import SequentialHuber, catoni_estimate, huber_estimate
 from corrupted_bandits.harness import ExperimentConfig
 from corrupted_bandits.policies import RobustUCBCatoni, RobustUCBMOM
 from corrupted_bandits.theory import (
@@ -21,8 +17,14 @@ from corrupted_bandits.theory import (
     corrupted_bernoulli_kl_bounds,
     min_pulls_bernoulli,
     min_pulls_student,
-    student_kl_bound,
 )
+
+
+def kl_args(**values):
+    """The ``kl`` command's arguments: a valid grid with ``values`` replacing its entries."""
+    return Namespace(**{"sigma": 1.0, "eps": 0.1, "gap_min": 0.1, "gap_max": 1.0, "points": 3,
+                        **values})
+
 
 # Site -> (call with the value under test, the name its message gives).
 SITES = {
@@ -32,8 +34,6 @@ SITES = {
     "Pareto.scale": (lambda v: Pareto(3.0, v), "scale"),
     "Weibull.shape": (lambda v: Weibull(v, 1.0), "shape"),
     "Weibull.scale": (lambda v: Weibull(2.0, v), "scale"),
-    "influence": (lambda v: influence(0.0, v), "beta"),
-    "influence_derivative": (lambda v: influence_derivative(0.0, v), "beta"),
     "huber_estimate": (lambda v: huber_estimate([0.0, 1.0], v), "beta"),
     "catoni_estimate.sigma": (lambda v: catoni_estimate([0.0, 1.0], v), "sigma"),
     "catoni_estimate.scale": (lambda v: catoni_estimate([0.0, 1.0], 1.0, v), "scale"),
@@ -49,7 +49,6 @@ SITES = {
     "ExperimentConfig": (lambda v: ExperimentConfig(policy="ucb1", beta_mult=v), "beta_mult"),
     "GapProfile.delta": (lambda v: GapProfile(v, 1.0), "delta"),
     "GapProfile.sigma": (lambda v: GapProfile(0.5, v), "sigma"),
-    "student_kl_bound": (lambda v: student_kl_bound(3.0, v), "gap"),
     # The KL controls check gap and sigma as their GapProfile's delta and sigma.
     "corrupted_bernoulli_kl_bounds.gap": (
         lambda v: corrupted_bernoulli_kl_bounds(v, 1.0, 0.1), "delta"),
@@ -61,6 +60,8 @@ SITES = {
     "min_pulls_student.sigma": (lambda v: min_pulls_student(0.5, v), "sigma"),
     "min_pulls_bernoulli.gap": (lambda v: min_pulls_bernoulli(v, 1.0, 0.1), "gap"),
     "min_pulls_bernoulli.sigma": (lambda v: min_pulls_bernoulli(0.5, v, 0.1), "sigma"),
+    "kl --gap-min": (lambda v: _kl_table(kl_args(gap_min=v)), "--gap-min"),
+    "kl --gap-max": (lambda v: _kl_table(kl_args(gap_max=v)), "--gap-max"),
 }
 
 

@@ -327,11 +327,12 @@ class TestBoundaryExits:
             ({"policy": "exp3", "exp3_clip": [-float("inf"), float("inf")]}, "finite width"),
             ({"policy": "ucb1", "horizon": 20.5}, "horizon must be an integer"),
             ({"policy": "ucb1", "seed": 1.5}, "seed must be an integer"),
+            ({"policy": "ucb1", "horizon": True}, "horizon must be an integer"),
             ({"policy": "huber_ucb", "p_mode": "explicit", "p_value": 1e-200}, "(p - 5 eps)^2 > 0"),
             ({"policy": "ucb1", "bias_rule": "none"}, "bias_rule must be one of"),
         ],
         ids=["clip-reversed", "clip-three", "clip-infinite", "horizon-fraction", "seed-fraction",
-             "p-underflow", "bias-rule-unknown"],
+             "horizon-bool", "p-underflow", "bias-rule-unknown"],
     )
     def test_config_file_value_exits_before_running(self, tmp_path, no_runs, entries, words):
         # Each of these used to fail inside the first episode, with a traceback.

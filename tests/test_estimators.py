@@ -13,8 +13,6 @@ from corrupted_bandits.estimators import (
     default_root_tol,
     floor_pow2,
     huber_estimate,
-    influence,
-    influence_derivative,
     mad_scale,
     median_of_means,
 )
@@ -41,36 +39,44 @@ def huber_loss_grid_oracle(samples, beta, lo, hi, coarse=20001, fine=20001):
     return float(refined[np.argmin(loss(refined))])
 
 
-class TestInfluence:
-    def test_identity_region(self):
-        assert influence(0.5, 1.0) == 0.5
+class TestInlineClip:
+    """The solvers clip each residual at +-beta inline (Huber's psi), with a closed window."""
 
-    def test_clipped_region(self):
-        assert influence(-3.0, 1.0) == -1.0
+    def test_closed_window_gives_the_mean(self):
+        # Every residual from the mean 0.5 lies within beta = 1.5, the largest exactly at it.
+        assert huber_estimate([0.0, 0.0, 0.0, 2.0], 1.5) == pytest.approx(0.5, abs=1e-12)
 
-    def test_boundary_continuity(self):
-        assert influence(1.0, 1.0) == 1.0
+    @pytest.mark.parametrize("far", [10.0, 1e3, 1e6])
+    def test_outlier_beyond_beta_saturates(self, far):
+        # Past the window a sample adds beta whatever its distance.
+        base = np.random.default_rng(3).normal(size=15)
+        near = huber_estimate(np.append(base, 5.0), 1.0)
+        assert huber_estimate(np.append(base, far), 1.0) == pytest.approx(near, abs=1e-12)
 
-    def test_odd_and_bounded(self):
-        rng = np.random.default_rng(0)
-        xs = rng.normal(scale=5.0, size=200)
-        for beta in (0.1, 1.0, 7.0):
-            vals = influence(xs, beta)
-            assert np.allclose(influence(-xs, beta), -vals)
-            assert np.all(np.abs(vals) <= beta)
+    def test_odd_in_the_samples(self):
+        rng = np.random.default_rng(4)
+        pos, neg = SequentialHuber(1.0), SequentialHuber(1.0)
+        for x in rng.standard_t(2, size=100):
+            pos.update(float(x))
+            neg.update(float(-x))
+            assert neg.value == pytest.approx(-pos.value, abs=1e-12)
 
-    def test_derivative_indicator(self):
-        assert influence_derivative(0.0, 1.0) == 1.0
-        assert influence_derivative(2.0, 1.0) == 0.0
-        # closed-interval convention at the clip point
-        assert influence_derivative(1.0, 1.0) == 1.0
-        assert influence_derivative(-1.0, 1.0) == 1.0
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_saturated_sample_adds_beta_and_leaves_the_window(self, sign):
+        # The anchor of the first four is 1.0 (test_correction_arithmetic); the fifth sits
+        # 100 from it, so it adds +-beta to the numerator and nothing to the denominator.
+        s = SequentialHuber(1.0)
+        for x in [0.0, 2.0, 0.0, 2.0, 1.0 + sign * 100.0]:
+            s.update(x)
+        assert (s.anchor, s.psi_sum, s.psi_prime_sum) == (1.0, sign, 4.0)
+        assert s.value == 1.0 + sign * 0.25
 
-    def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            influence(1.0, 0.0)
-        with pytest.raises(ValueError):
-            influence_derivative(1.0, -1.0)
+    def test_numerator_bounded_by_beta_per_sample(self):
+        rng = np.random.default_rng(6)
+        s = SequentialHuber(0.5)
+        for x in rng.standard_t(1.5, size=300):
+            s.update(float(x))
+            assert abs(s.psi_sum) <= s.beta * (s.count - floor_pow2(s.count))
 
 
 class TestHuberEstimate:
@@ -518,7 +524,6 @@ class TestSequentialHuber:
         s = SequentialHuber(1.0)
         assert s.count == 0
         assert s.value == 0.0
-        assert s.buffer.size == 0
 
     def test_single_sample(self):
         s = SequentialHuber(1.0)
@@ -568,6 +573,14 @@ class TestSequentialHuber:
         assert s.psi_prime_sum == 0.0 and s.psi_sum != 0.0
         assert s.value == s.anchor
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_infinite_first_sample_anchors_without_a_warning(self, x):
+        # The anchor is x itself, and x - x is nan: outside the window, and no warning.
+        s = SequentialHuber(1.0)
+        s.update(x)
+        assert s.value == s.anchor == x and s.psi_prime_sum == 0.0
+
     def test_overshoot_clamped_to_largest_sample(self):
         # The anchor of the first four, -48855.5, has no sample within beta;
         # the Newton step from the last two lands at +48854, above every sample.
@@ -598,12 +611,14 @@ class TestSequentialHuber:
     def test_state_invariants(self):
         rng = np.random.default_rng(17)
         s = SequentialHuber(1.0)
+        seen = []
         for i, x in enumerate(rng.normal(size=150), 1):
             s.update(float(x))
-            assert s.count == i == s.buffer.size
+            seen.append(float(x))
+            assert s.count == i
             assert 0.0 <= s.psi_prime_sum <= s.count
             anchor_n = floor_pow2(i)
-            assert s.anchor == huber_estimate(s.buffer[:anchor_n], 1.0)
+            assert s.anchor == huber_estimate(seen[:anchor_n], 1.0)
 
     def test_solver_touches_bounded_by_2n(self):
         rng = np.random.default_rng(19)

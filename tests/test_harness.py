@@ -321,7 +321,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(sweep_axis="gamma")
 
-    @pytest.mark.parametrize("value", [20.5, 2.0, "3"])
+    @pytest.mark.parametrize("value", [20.5, 2.0, "3", True])
     @pytest.mark.parametrize("name", ["horizon", "reps", "seed"])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):

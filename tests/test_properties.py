@@ -249,8 +249,8 @@ p_modes = st.one_of(st.sampled_from(["chebyshev", "exact", "explicit"]), st.text
 p_values = st.one_of(st.none(), st.floats())
 bias_rules = st.one_of(st.sampled_from(sorted(BIAS_RULES)), st.text(max_size=12))
 clips = st.lists(st.floats(), min_size=2, max_size=3)
-horizons = st.one_of(st.integers(max_value=50), st.floats(max_value=50))
-file_seeds = st.one_of(st.integers(), st.floats())
+horizons = st.one_of(st.integers(max_value=50), st.floats(max_value=50), st.booleans())
+file_seeds = st.one_of(st.integers(), st.floats(), st.booleans())
 overlays = st.one_of(st.booleans(), st.none(), st.integers(), st.text(max_size=6))
 
 
@@ -263,6 +263,7 @@ overlays = st.one_of(st.booleans(), st.none(), st.integers(), st.text(max_size=6
 @example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0], 20.5, 0, False)
 @example("bernoulli", "exp3", "chebyshev", None, "zero", [0.0, 1.0], 20, 1.5, False)
 @example("bernoulli", "huber_ucb", "explicit", 1e-200, "zero", [0.0, 1.0], 20, 0, False)
+@example("bernoulli", "ucb1", "chebyshev", None, "zero", [0.0, 1.0], True, 0, False)
 def test_config_file_never_tracebacks(tmp_path_factory, env, policy, p_mode, p_value, bias_rule,
                                       clip, horizon, seed, overlay):
     base = tmp_path_factory.getbasetemp()

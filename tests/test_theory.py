@@ -16,7 +16,6 @@ from corrupted_bandits.theory import (
     max_pulls_seq_huber_ucb,
     min_pulls_bernoulli,
     min_pulls_student,
-    student_kl_bound,
 )
 
 INF = math.inf
@@ -26,31 +25,6 @@ def pair_dists(pair):
     p = {0: 1.0 - pair.q0, 1: pair.q0}
     q = {0: 1.0 - pair.q1, 1: pair.q1}
     return p, q
-
-
-class TestStudentKL:
-    def test_small_gap_coefficient_df3(self):
-        # quadratic-branch coefficient at df=3
-        coeff = student_kl_bound(3.0, 1.0)
-        assert coeff == pytest.approx(9 * 16 / (5 * math.sqrt(3)), rel=1e-12)
-        assert coeff == pytest.approx(16.63, abs=0.01)
-        assert coeff <= 17.0
-
-    def test_zero_gap(self):
-        assert student_kl_bound(3.0, 0.0) == 0.0
-
-    def test_large_gap_oracle(self):
-        expected = 4 * math.log(2.0) + math.log(27 * 16 / (5 * math.sqrt(3)))
-        assert student_kl_bound(3.0, 2.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            student_kl_bound(1.0, 0.5)
-
-    def test_branches_nonnegative(self):
-        for df in (1.5, 3.0, 7.0):
-            for gap in (0.1, 1.0, 1.5, 30.0):
-                assert student_kl_bound(df, gap) >= 0.0
 
 
 class TestCorruptedPair:
@@ -71,10 +45,9 @@ class TestCorruptedPair:
         for alpha in (0.05, 0.25, 0.4):
             for eps in (0.0, 0.05, 0.2):
                 pair = corrupted_bernoulli_pair(alpha, eps)
-                expected = pair.gap * (1 - eps) - eps
-                assert pair.corrupted_gap == pytest.approx(expected, abs=1e-12)
-                defined = pair.gap * (1 - eps) - 2 * eps * pair.sigma
-                assert pair.corrupted_gap <= defined + 1e-12
+                gap, sigma = 1 - 2 * alpha, math.sqrt(alpha * (1 - alpha))
+                assert pair.q1 - pair.q0 == pytest.approx(gap * (1 - eps) - eps, abs=1e-12)
+                assert pair.q1 - pair.q0 <= gap * (1 - eps) - 2 * eps * sigma + 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -147,8 +120,7 @@ class TestKLBounds:
     def test_alpha_for_gap_ratio_roundtrip(self):
         for ratio in (0.01, 0.5, 1.0, 1.9, 10.0):
             alpha = alpha_for_gap_ratio(ratio, 1.0)
-            pair = corrupted_bernoulli_pair(alpha, 0.1)
-            assert pair.gap / pair.sigma == pytest.approx(ratio, rel=1e-9)
+            assert (1 - 2 * alpha) / math.sqrt(alpha * (1 - alpha)) == pytest.approx(ratio, rel=1e-9)
 
 
 class TestDiscreteKL:
@@ -179,6 +151,17 @@ class TestLowerBounds:
     def test_student_equal_gap_and_scale(self):
         assert min_pulls_student(1.0, 1.0) == pytest.approx(max(1 / 51, 1 / 22))
         assert min_pulls_student(1.0, 1.0) == pytest.approx(1 / 22)
+
+    def test_student_depends_on_the_ratio_only(self):
+        for gap, sigma in ((0.01, 1.0), (1.0, 1.0), (100.0, 1.0)):
+            for c in (1e-3, 0.5, 8.0, 1e4):
+                assert min_pulls_student(c * gap, c * sigma) == pytest.approx(
+                    min_pulls_student(gap, sigma), rel=1e-12)
+
+    def test_student_log_branch_absent_below_its_pole(self):
+        # 4 ln(gap/sigma) + 22 < 0 for gap/sigma < e^-5.5: only the quadratic term is left.
+        gap = math.exp(-6.0)
+        assert min_pulls_student(gap, 1.0) == 1.0 / (51.0 * gap * gap)
 
     def test_student_small_gap_branch(self):
         value = min_pulls_student(0.01, 1.0)
@@ -218,12 +201,6 @@ class TestLowerBounds:
 
 
 class TestGapProfile:
-    def test_corrupted_gap_dominated(self):
-        g = GapProfile(0.5, 1.0, 0.1)
-        assert g.corrupted_gap == pytest.approx(0.5 * 0.9 - 0.2)
-        assert g.corrupted_gap <= g.delta
-        assert GapProfile(0.5, 1.0, 0.0).corrupted_gap == 0.5
-
     def test_shifted_gap_decreasing_in_eps_and_bias(self):
         base = GapProfile(1.0, 1.0, 0.05).shifted_gap(0.9, 4.0)
         assert GapProfile(1.0, 1.0, 0.1).shifted_gap(0.9, 4.0) < base

@@ -8,7 +8,7 @@ constant (an int by one, a float by one at zero and doubled elsewhere).
 ``--max N`` runs N sites sampled with the fixed ``SEED``; without it every
 site runs.  Every mutant runs in one temporary
 copy of ``src/``, ``tests/`` and what the tests read (``tools/``,
-``README.md``), never in the checkout, under
+``perfbench/``, ``README.md``), never in the checkout, under
 ``pytest -x -q -m "not acceptance"``; a mutant survives when that passes.
 The survivors go to a JSON list of ``file:line``, operator and source line.
 
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests", "tools", "README.md", "pyproject.toml"):
+        for part in ("src", "tests", "tools", "perfbench", "README.md", "pyproject.toml"):
             src = ROOT / part
             if src.is_dir():
                 shutil.copytree(src, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
