@@ -59,7 +59,6 @@ from .policies import (
     UCB1,
 )
 from .theory import (
-    GapProfile,
     alpha_for_gap_ratio,
     corrupted_bernoulli_kl,
     corrupted_bernoulli_kl_bounds,

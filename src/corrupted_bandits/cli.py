@@ -49,7 +49,6 @@ from .harness import (
 )
 from .policies import RobustUCBMOM
 from .theory import (
-    GapProfile,
     alpha_for_gap_ratio,
     corrupted_bernoulli_kl,
     corrupted_bernoulli_kl_bounds,
@@ -171,8 +170,7 @@ def _pulls_table(args: argparse.Namespace) -> list[list]:
     for eps in (0.0, 0.02, 0.05, 0.1):
         cfg = HuberParams(beta=4.0 * sigma, sigma=sigma, eps=eps, p=0.95, bias=0.0)
         for gap in gaps:
-            profile = GapProfile(gap, sigma, eps)
-            upper = [_fmt(bound(args.horizon, profile, cfg)) for bound in uppers]
+            upper = [_fmt(bound(args.horizon, gap, cfg)) for bound in uppers]
             lower_bern = _fmt(min_pulls_bernoulli(gap, sigma, eps)) if eps > 0 else ""
             rows.append([eps, _fmt(gap), _fmt(min_pulls_student(gap, sigma)), lower_bern, *upper])
     return rows
@@ -225,14 +223,13 @@ def _median_of_means(data: np.ndarray, args: argparse.Namespace) -> float:
 
 
 # Default of each estimate flag; an estimator gets the defaults of the flags it reads.
-_ESTIMATE_DEFAULTS = {"beta": 1.0, "sigma": 1.0, "scale": 1.0, "blocks": 0}
+_ESTIMATE_DEFAULTS = {"beta": 1.0, "sigma": 1.0, "blocks": 0}
 # Estimator name -> (value of a nonempty sample under the flags it reads, those
 # flags; it is given no other); the keys are the --estimator choices.
 ESTIMATORS = {
     "huber": (lambda data, args: huber_estimate(data, args.beta), ("beta",)),
     "seqhub": (_sequential_huber, ("beta",)),
-    "catoni": (lambda data, args: catoni_estimate(data, args.sigma, args.scale),
-               ("sigma", "scale")),
+    "catoni": (lambda data, args: catoni_estimate(data, args.sigma), ("sigma",)),
     "mom": (_median_of_means, ("blocks",)),
     "mean": (lambda data, args: float(np.mean(data)), ()),
     "median": (lambda data, args: float(np.median(data)), ()),

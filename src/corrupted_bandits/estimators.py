@@ -159,19 +159,15 @@ def huber_estimate(samples: Sequence[float] | np.ndarray, beta: float) -> float:
     return _huber_root_sorted(memoryview(xs), memoryview(prefix), n, beta, default_root_tol(n, beta))
 
 
-def catoni_estimate(
-    samples: Sequence[float] | np.ndarray,
-    sigma: float,
-    scale: float = 1.0,
-) -> float:
-    """Huber estimate tuned for heavy tails: ``beta = scale * sigma * sqrt(n)``.
+def catoni_estimate(samples: Sequence[float] | np.ndarray, sigma: float) -> float:
+    """Huber estimate tuned for heavy tails: ``beta = sigma * sqrt(n)``.
 
     The growing threshold tracks the empirical mean ever more closely as the
     sample grows, which is efficient for uncorrupted heavy-tailed data but
     fragile under corruption.
     """
     x = np.asarray(samples, dtype=float)
-    beta = check_positive(scale, "scale") * check_positive(sigma, "sigma") * math.sqrt(x.size)
+    beta = check_positive(sigma, "sigma") * math.sqrt(x.size)
     return huber_estimate(x, beta)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .confidence import HuberParams, chebyshev_p, huber_bias_bound
 from .envs import BanditEnv, check_eps, check_positive, make_env
 from .policies import PolicyBuild, check_clip
-from .theory import GapProfile, max_pulls_huber_ucb_simplified, max_pulls_seq_huber_ucb
+from .theory import max_pulls_huber_ucb_simplified, max_pulls_seq_huber_ucb
 
 __all__ = [
     "ExperimentConfig",
@@ -123,6 +123,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
+        for name in ("eps_true", "eps_assumed", "beta_mult", "p_value", "exp3_clip"):
+            value = getattr(self, name)
+            entries = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+            # bool is an int, so a JSON true would otherwise run as 1 (and false as 0),
+            # and a string p_value or clip entry would go through float()
+            if value is not None and not all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+                raise ValueError(f"{name} must be numeric, got {value!r}")
         check_eps(self.eps_true, "eps_true")
         if self.eps_assumed is not None:
             check_eps(self.eps_assumed, "eps_assumed")
@@ -398,8 +406,7 @@ def bound_overlay(config: ExperimentConfig, env: BanditEnv | None = None) -> np.
         gap = float(env.gaps[i])
         if gap == 0.0:
             continue
-        profile = GapProfile(gap, arm_cfg.sigma, arm_cfg.eps)
-        overlay += gap * bound_fn(steps, profile, arm_cfg)
+        overlay += gap * bound_fn(steps, gap, arm_cfg)
     return overlay
 
 

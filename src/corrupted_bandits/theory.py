@@ -2,7 +2,9 @@
 
 These functions evaluate statements as printed, without reconciling the
 looser simplified variants against the sharp ones; each carries its own
-shifted-gap definition.  ``inf`` encodes regimes where no finite bound exists;
+shifted-gap definition.  The pull-count upper bounds take one arm's gap
+``delta`` and read every other quantity (sigma, eps, beta, p, bias) from its
+:class:`HuberParams`.  ``inf`` encodes regimes where no finite bound exists;
 no function here raises or warns for a value outside its validity region.
 """
 
@@ -17,7 +19,6 @@ from .confidence import HuberParams
 from .envs import check_eps, check_positive
 
 __all__ = [
-    "GapProfile",
     "corrupted_bernoulli_pair",
     "corrupted_bernoulli_kl",
     "corrupted_bernoulli_kl_bounds",
@@ -33,24 +34,6 @@ __all__ = [
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class GapProfile:
-    """Suboptimality gap with the scale and corruption level it lives at."""
-
-    delta: float
-    sigma: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        check_positive(self.delta, "delta", nonnegative=True)
-        check_positive(self.sigma, "sigma")
-        check_eps(self.eps)
-
-    def shifted_gap(self, p: float, beta: float, bias: float = 0.0) -> float:
-        """Upper-bound analogue ``(delta - 2 bias)(p - eps) - 8 beta eps``."""
-        return (self.delta - 2.0 * bias) * (p - self.eps) - 8.0 * beta * self.eps
-
-
 def _check_alpha_eps(alpha: float, eps: float) -> None:
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 0.5)")
@@ -59,14 +42,8 @@ def _check_alpha_eps(alpha: float, eps: float) -> None:
 
 @dataclass(frozen=True)
 class BernoulliPair:
-    """Two corrupted two-point laws on {0, 1}, mirrored around 1/2.
+    """The corrupted mirrored pair on {0, 1}: success probabilities ``q0`` (bad arm) and ``q1``."""
 
-    ``q0``/``q1`` are the success probabilities of the corrupted bad and good
-    arms.
-    """
-
-    alpha: float
-    eps: float
     q0: float
     q1: float
 
@@ -79,7 +56,7 @@ def corrupted_bernoulli_pair(alpha: float, eps: float) -> BernoulliPair:
     """
     _check_alpha_eps(alpha, eps)
     keep = (1.0 - eps) * (1.0 - alpha)
-    return BernoulliPair(alpha=alpha, eps=eps, q0=1.0 - keep, q1=keep)
+    return BernoulliPair(q0=1.0 - keep, q1=keep)
 
 
 def corrupted_bernoulli_kl(alpha: float, eps: float) -> float:
@@ -110,7 +87,8 @@ def corrupted_bernoulli_kl_bounds(
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
-    GapProfile(gap, sigma, eps)  # checks gap and sigma
+    check_positive(gap, "gap", nonnegative=True)
+    check_positive(sigma, "sigma")
     ratio = (1.0 - 2.0 * eps) / eps  # ln(1 + ratio) = ln((1 - eps) / eps); inf for subnormal eps
     uniform = (1.0 - 2.0 * eps) * (math.log1p(ratio) if ratio < INF else -math.log(eps))
     from fractions import Fraction  # here, not at import: it loads decimal (about 3 ms)
@@ -197,7 +175,7 @@ def _log_steps(n):
     return np.fromiter(map(math.log, steps), float, steps.size) if steps.ndim else math.log(n)
 
 
-def max_pulls_huber_ucb(n, gap: GapProfile, cfg: HuberParams):
+def max_pulls_huber_ucb(n, delta: float, cfg: HuberParams):
     """Expected suboptimal pulls of the batch-estimator index policy by step n (or each step).
 
     ``inf`` unless the shifted gap ``(delta - 2 bias)(p - eps) - 8 beta eps`` is positive.
@@ -205,8 +183,9 @@ def max_pulls_huber_ucb(n, gap: GapProfile, cfg: HuberParams):
     selects the large-gap form below it being exceeded, the variance-driven
     form otherwise (ties go to the variance-driven form).
     """
+    check_positive(delta, "delta", nonnegative=True)
     log_n = _log_steps(n)
-    shifted = gap.shifted_gap(cfg.p, cfg.beta, cfg.bias)
+    shifted = (delta - 2.0 * cfg.bias) * (cfg.p - cfg.eps) - 8.0 * cfg.beta * cfg.eps
     if shifted <= 0:
         return log_n * 0.0 + INF  # inapplicable, at every step
     sigma, beta = cfg.sigma, cfg.beta
@@ -219,16 +198,17 @@ def max_pulls_huber_ucb(n, gap: GapProfile, cfg: HuberParams):
     return log_n * max(lead, _second_entry(cfg)) + 10.0 * (log_n + 1.0)
 
 
-def _max_pulls_explicit(n, gap: GapProfile, cfg: HuberParams, spread, large, small, tail):
+def _max_pulls_explicit(n, delta: float, cfg: HuberParams, spread, large, small, tail):
     """Pull bound on the shifted gap ``delta (p - eps) - 32 sigma eps``, with printed constants.
 
     Branch threshold ``spread * sigma (1 + 4 sqrt(2) proxy)^2``; ``large`` and
     ``small`` are each branch's (coefficient, floor); ``tail`` multiplies ``ln n + 1``.
     ``inf`` where the shifted gap is nonpositive; an array ``n`` reuses the constants.
     """
+    check_positive(delta, "delta", nonnegative=True)
     log_n = _log_steps(n)
     sigma = cfg.sigma
-    shifted = gap.delta * (cfg.p - cfg.eps) - 32.0 * sigma * cfg.eps
+    shifted = delta * (cfg.p - cfg.eps) - 32.0 * sigma * cfg.eps
     if shifted <= 0:
         return log_n * 0.0 + INF  # inapplicable, at every step
     proxy = cfg.eps_proxy
@@ -247,21 +227,21 @@ def _max_pulls_explicit(n, gap: GapProfile, cfg: HuberParams, spread, large, sma
     return out
 
 
-def max_pulls_huber_ucb_simplified(n, gap: GapProfile, cfg: HuberParams):
+def max_pulls_huber_ucb_simplified(n, delta: float, cfg: HuberParams):
     """Looser explicit-constant form for symmetric inliers with beta = 4 sigma.
 
     Uses its own shifted gap ``delta (p - eps) - 32 sigma eps``.  Valid (as a
     dominating value) while the corruption proxy stays at or below
     ``4 / (5 sqrt(ln 9))``; see the dominance tests.
     """
-    return _max_pulls_explicit(n, gap, cfg, 6.0, (43.0, 10.0), (23.0, 18.0), 10.0)
+    return _max_pulls_explicit(n, delta, cfg, 6.0, (43.0, 10.0), (23.0, 18.0), 10.0)
 
 
-def max_pulls_seq_huber_ucb(n, gap: GapProfile, cfg: HuberParams):
+def max_pulls_seq_huber_ucb(n, delta: float, cfg: HuberParams):
     """Suboptimal-pull bound for the streaming-estimator policy.
 
     Shifted gap ``delta (p - eps) - 32 sigma eps``; branch threshold
     ``18 sigma (1 + 4 sqrt(2) proxy)^2``.
     """
-    return _max_pulls_explicit(n, gap, cfg, 18.0, (128.0, 2.0), (80.0, 3.0), 28.0)
+    return _max_pulls_explicit(n, delta, cfg, 18.0, (128.0, 2.0), (80.0, 3.0), 28.0)
 

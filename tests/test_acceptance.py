@@ -26,7 +26,6 @@ from corrupted_bandits.estimators import (
 )
 from corrupted_bandits.harness import ExperimentConfig, monte_carlo_regret, sweep
 from corrupted_bandits.theory import (
-    GapProfile,
     alpha_for_gap_ratio,
     corrupted_bernoulli_kl,
     corrupted_bernoulli_kl_bounds,
@@ -424,19 +423,17 @@ def test_criterion_7_bound_sanity():
                     delta = mult * sigma
                     if delta * (p - eps) - 32 * sigma * eps <= 0:
                         continue
-                    gap = GapProfile(delta, sigma, eps)
                     for n in (10, 1000, 10**6):
-                        sharp = max_pulls_huber_ucb(n, gap, cfg)
-                        loose = max_pulls_huber_ucb_simplified(n, gap, cfg)
+                        sharp = max_pulls_huber_ucb(n, delta, cfg)
+                        loose = max_pulls_huber_ucb_simplified(n, delta, cfg)
                         assert sharp <= loose * (1 + 1e-12), (eps, p, sigma, mult, n)
                         checked += 1
     assert checked >= 1000
 
     # affine in ln n within each branch
     cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.02, p=0.9)
-    gap = GapProfile(2.0, 1.0, 0.02)
     ns = (100, 1000, 10_000, 100_000)
-    values = [max_pulls_huber_ucb(n, gap, cfg) for n in ns]
+    values = [max_pulls_huber_ucb(n, 2.0, cfg) for n in ns]
     slopes = [
         (values[i + 1] - values[i]) / (math.log(ns[i + 1]) - math.log(ns[i]))
         for i in range(3)

@@ -12,9 +12,11 @@ from corrupted_bandits.estimators import SequentialHuber, catoni_estimate, huber
 from corrupted_bandits.harness import ExperimentConfig
 from corrupted_bandits.policies import RobustUCBCatoni, RobustUCBMOM
 from corrupted_bandits.theory import (
-    GapProfile,
     alpha_for_gap_ratio,
     corrupted_bernoulli_kl_bounds,
+    max_pulls_huber_ucb,
+    max_pulls_huber_ucb_simplified,
+    max_pulls_seq_huber_ucb,
     min_pulls_bernoulli,
     min_pulls_student,
 )
@@ -36,7 +38,6 @@ SITES = {
     "Weibull.scale": (lambda v: Weibull(2.0, v), "scale"),
     "huber_estimate": (lambda v: huber_estimate([0.0, 1.0], v), "beta"),
     "catoni_estimate.sigma": (lambda v: catoni_estimate([0.0, 1.0], v), "sigma"),
-    "catoni_estimate.scale": (lambda v: catoni_estimate([0.0, 1.0], 1.0, v), "scale"),
     "SequentialHuber": (lambda v: SequentialHuber(v), "beta"),
     "chebyshev_p": (lambda v: chebyshev_p(1.0, v), "beta"),
     "HuberParams.beta": (lambda v: HuberParams(beta=v, sigma=1.0), "beta"),
@@ -47,11 +48,13 @@ SITES = {
     "RobustUCBCatoni": (lambda v: RobustUCBCatoni([1.0, v]), "sigmas"),
     "RobustUCBMOM": (lambda v: RobustUCBMOM([1.0, v]), "sigmas"),
     "ExperimentConfig": (lambda v: ExperimentConfig(policy="ucb1", beta_mult=v), "beta_mult"),
-    "GapProfile.delta": (lambda v: GapProfile(v, 1.0), "delta"),
-    "GapProfile.sigma": (lambda v: GapProfile(0.5, v), "sigma"),
-    # The KL controls check gap and sigma as their GapProfile's delta and sigma.
+    "max_pulls_huber_ucb": (lambda v: max_pulls_huber_ucb(1, v, HuberParams(4.0, 1.0)), "delta"),
+    "max_pulls_huber_ucb_simplified": (
+        lambda v: max_pulls_huber_ucb_simplified(1, v, HuberParams(4.0, 1.0)), "delta"),
+    "max_pulls_seq_huber_ucb": (
+        lambda v: max_pulls_seq_huber_ucb(1, v, HuberParams(4.0, 1.0)), "delta"),
     "corrupted_bernoulli_kl_bounds.gap": (
-        lambda v: corrupted_bernoulli_kl_bounds(v, 1.0, 0.1), "delta"),
+        lambda v: corrupted_bernoulli_kl_bounds(v, 1.0, 0.1), "gap"),
     "corrupted_bernoulli_kl_bounds.sigma": (
         lambda v: corrupted_bernoulli_kl_bounds(0.5, v, 0.1), "sigma"),
     "alpha_for_gap_ratio.gap": (lambda v: alpha_for_gap_ratio(v, 1.0), "gap"),

@@ -330,9 +330,12 @@ class TestBoundaryExits:
             ({"policy": "ucb1", "horizon": True}, "horizon must be an integer"),
             ({"policy": "huber_ucb", "p_mode": "explicit", "p_value": 1e-200}, "(p - 5 eps)^2 > 0"),
             ({"policy": "ucb1", "bias_rule": "none"}, "bias_rule must be one of"),
+            ({"policy": "huber_ucb", "beta_mult": True}, "beta_mult must be numeric"),
+            ({"policy": "huber_ucb", "p_mode": "explicit", "p_value": "0.9"},
+             "p_value must be numeric"),
         ],
         ids=["clip-reversed", "clip-three", "clip-infinite", "horizon-fraction", "seed-fraction",
-             "horizon-bool", "p-underflow", "bias-rule-unknown"],
+             "horizon-bool", "p-underflow", "bias-rule-unknown", "beta-mult-bool", "p-value-string"],
     )
     def test_config_file_value_exits_before_running(self, tmp_path, no_runs, entries, words):
         # Each of these used to fail inside the first episode, with a traceback.
@@ -375,12 +378,12 @@ IGNORED_BOUNDS_FLAGS = [
     ("pulls", "--gap-min", "5"), ("pulls", "--gap-max", "9"),
     ("kl", "--horizon", "100"),
 ]
-_NO_FLAGS = ["--beta", "--sigma", "--scale", "--blocks"]
+_NO_FLAGS = ["--beta", "--sigma", "--blocks"]
 IGNORED_ESTIMATE_FLAGS = [
-    *[("huber", flag) for flag in ("--sigma", "--scale", "--blocks")],
-    *[("seqhub", flag) for flag in ("--sigma", "--scale", "--blocks")],
+    *[("huber", flag) for flag in ("--sigma", "--blocks")],
+    *[("seqhub", flag) for flag in ("--sigma", "--blocks")],
     *[("catoni", flag) for flag in ("--beta", "--blocks")],
-    *[("mom", flag) for flag in ("--beta", "--sigma", "--scale")],
+    *[("mom", flag) for flag in ("--beta", "--sigma")],
     *[(name, flag) for name in ("mean", "median", "mad") for flag in _NO_FLAGS],
 ]
 
@@ -421,9 +424,17 @@ class TestIgnoredFlags:
         main(["bounds", "--table", table, *given, "--out", str(explicit)])
         assert default.read_bytes() == explicit.read_bytes()
 
+    def test_estimate_has_no_scale_flag(self, data_file, capsys):
+        # Catoni's threshold is sigma * sqrt(n); a scale factor is a different --sigma.
+        path, _ = data_file
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(path), "--estimator", "catoni", "--scale", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scale 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("estimator, given", [
         ("huber", ["--beta", "1"]), ("seqhub", ["--beta", "1"]),
-        ("catoni", ["--sigma", "1", "--scale", "1"]), ("mom", ["--blocks", "0"]),
+        ("catoni", ["--sigma", "1"]), ("mom", ["--blocks", "0"]),
     ])
     def test_estimate_defaults_are_the_read_flags_given(self, data_file, capsys, estimator, given):
         path, _ = data_file

@@ -328,6 +328,25 @@ class TestConfig:
             ExperimentConfig(**{name: value})
         assert getattr(ExperimentConfig(**{name: np.int64(3)}), name) == 3
 
+    @pytest.mark.parametrize("name, value", [
+        ("eps_true", False), ("eps_assumed", False), ("beta_mult", True), ("p_value", True),
+        ("exp3_clip", [False, True]), ("exp3_clip", (0.0, True)),
+        ("eps_true", "0.1"), ("eps_assumed", "0.1"), ("beta_mult", "2"), ("p_value", "0.9"),
+        ("exp3_clip", ["0", "1"]), ("exp3_clip", "01"),
+    ])
+    def test_float_fields_take_only_numbers(self, name, value):
+        # A bool ran as 0 or 1, with the bool in the sidecar; a string p_value or
+        # clip entry went through float(), and the other strings failed with a
+        # message that named no field.
+        with pytest.raises(ValueError, match=f"^{name} must be numeric, got "):
+            ExperimentConfig(**{name: value})
+
+    def test_numpy_numbers_are_numbers(self):
+        cfg = ExperimentConfig(eps_true=np.float64(0.1), beta_mult=np.float32(2.0),
+                               p_value=np.float64(0.9), exp3_clip=(np.int64(0), 1.5))
+        assert cfg.exp3_clip == (0.0, 1.5)
+        assert ExperimentConfig(exp3_clip=np.array([0.0, 1.0])).exp3_clip == (0.0, 1.0)
+
     def test_dict_roundtrip(self):
         cfg = tiny_config(exp3_clip=(0.0, 1.0))
         again = ExperimentConfig(**json.loads(json.dumps(cfg.to_dict())))

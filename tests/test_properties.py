@@ -47,9 +47,9 @@ class TestEstimatorRange:
     def test_huber(self, xs, beta):
         assert _in_range(huber_estimate(xs, beta), xs)
 
-    @given(samples, betas, st.floats(1e-3, 1e3))
-    def test_catoni(self, xs, sigma, scale):
-        assert _in_range(catoni_estimate(xs, sigma, scale), xs)
+    @given(samples, betas)
+    def test_catoni(self, xs, sigma):
+        assert _in_range(catoni_estimate(xs, sigma), xs)
 
     @given(st.data(), samples)
     def test_median_of_means(self, data, xs):
@@ -85,7 +85,7 @@ class TestEstimatorSymmetry:
     def test_permutation_invariance_is_bit_exact(self, data, xs, beta):
         shuffled = data.draw(st.permutations(xs))
         assert huber_estimate(shuffled, beta) == huber_estimate(xs, beta)
-        assert catoni_estimate(shuffled, beta, 1.0) == catoni_estimate(xs, beta, 1.0)
+        assert catoni_estimate(shuffled, beta) == catoni_estimate(xs, beta)
 
     @given(samples, betas, reals)
     def test_translation_equivariance(self, xs, beta, shift):
@@ -169,9 +169,9 @@ def _flags(values: dict, reads) -> list[str]:
     return [f"--{name.replace('_', '-')}={values[name]}" for name in reads]
 
 
-@given(st.sampled_from(sorted(ESTIMATORS)), any_float, any_float, any_float, any_int)
-def test_estimate_flags_never_traceback(data_path, estimator, beta, sigma, scale, blocks):
-    values = {"beta": beta, "sigma": sigma, "scale": scale, "blocks": blocks}
+@given(st.sampled_from(sorted(ESTIMATORS)), any_float, any_float, any_int)
+def test_estimate_flags_never_traceback(data_path, estimator, beta, sigma, blocks):
+    values = {"beta": beta, "sigma": sigma, "blocks": blocks}
     _exits_cleanly(["estimate", str(data_path), f"--estimator={estimator}",
                     *_flags(values, ESTIMATORS[estimator][1])])
 
@@ -246,9 +246,9 @@ def test_sweep_flags_never_traceback(tmp_path_factory, env, policy, axis, values
 
 # Config-file-only fields, and the run's size, with valid values mixed into junk.
 p_modes = st.one_of(st.sampled_from(["chebyshev", "exact", "explicit"]), st.text(max_size=12))
-p_values = st.one_of(st.none(), st.floats())
+p_values = st.one_of(st.none(), st.floats(), st.booleans())
 bias_rules = st.one_of(st.sampled_from(sorted(BIAS_RULES)), st.text(max_size=12))
-clips = st.lists(st.floats(), min_size=2, max_size=3)
+clips = st.lists(st.one_of(st.floats(), st.booleans()), min_size=2, max_size=3)
 horizons = st.one_of(st.integers(max_value=50), st.floats(max_value=50), st.booleans())
 file_seeds = st.one_of(st.integers(), st.floats(), st.booleans())
 overlays = st.one_of(st.booleans(), st.none(), st.integers(), st.text(max_size=6))

@@ -5,7 +5,6 @@ import pytest
 
 from corrupted_bandits.confidence import HuberParams, corruption_proxy
 from corrupted_bandits.theory import (
-    GapProfile,
     alpha_for_gap_ratio,
     corrupted_bernoulli_kl,
     corrupted_bernoulli_kl_bounds,
@@ -200,68 +199,129 @@ class TestLowerBounds:
         assert min_pulls_bernoulli(0.05, 1.0, 0.2) == INF
 
 
-class TestGapProfile:
-    def test_shifted_gap_decreasing_in_eps_and_bias(self):
-        base = GapProfile(1.0, 1.0, 0.05).shifted_gap(0.9, 4.0)
-        assert GapProfile(1.0, 1.0, 0.1).shifted_gap(0.9, 4.0) < base
-        assert GapProfile(1.0, 1.0, 0.05).shifted_gap(0.9, 4.0, bias=0.1) < base
-
-
 class TestUpperBounds:
+    def test_sharp_oracle_at_positive_eps_and_bias(self):
+        # shifted gap (6 - 2 * 0.1)(0.9 - 0.05) - 8 * 8 * 0.05 = 1.73, under the
+        # threshold 12 * 2^2 / 8 * mix^2 (about 204): the variance-driven form,
+        # which here exceeds the second entry.
+        cfg = HuberParams(beta=8.0, sigma=2.0, eps=0.05, p=0.9, bias=0.1)
+        n = 1000
+        log_n = math.log(n)
+        proxy = math.sqrt(0.9 / math.log(0.95 / 0.05))
+        mix = math.sqrt(2) + 2 * (8.0 / 2.0) * proxy
+        shifted = 5.8 * 0.85 - 3.2
+        lead = 50.0 * 4.0 / (9 * shifted**2) * mix**2
+        second = 4.0 / 0.65**2 * (1 + 2 * math.sqrt(2) * proxy) ** 2
+        assert lead > second
+        expected = log_n * lead + 10 * (log_n + 1)
+        assert max_pulls_huber_ucb(n, 6.0, cfg) == pytest.approx(expected, rel=1e-12)
+
+    # beta = 16 sigma and eps = 0: the shifted gap is delta, and the branch
+    # threshold is 12 * 0.5^2 / 8 * sqrt(2)^2, about 0.75, the same float here.
+    THRESHOLD = 12.0 * 0.5 * 0.5 / 8.0 * math.sqrt(2.0) * math.sqrt(2.0)
+
+    @pytest.mark.parametrize("delta", [0.5, THRESHOLD, 1.0], ids=["below", "tie", "above"])
+    def test_sharp_branch_where_the_first_entry_can_lead(self, delta):
+        # The large-gap form 32 * 8 / (3 delta) exceeds the second entry at each
+        # point, so the branch taken (ties go to the small one) shows in the value.
+        cfg = HuberParams(beta=8.0, sigma=0.5, p=1.0)
+        log_n = math.log(100)
+        second = 4.0 * (1 + 2 * math.sqrt(2) * (9 / (14 * math.sqrt(2)))) ** 2
+        large = 32 * 8.0 / (3 * delta)
+        small = 50 * 0.25 / (9 * delta**2) * 2
+        assert min(large, second) > small
+        lead = large if delta > self.THRESHOLD else small
+        expected = log_n * max(lead, second) + 10 * (log_n + 1)
+        assert max_pulls_huber_ucb(100, delta, cfg) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("delta, branch", [(4.5, "small"), (180.0, "small"), (310.0, "large")])
+    def test_explicit_branch_at_positive_eps(self, delta, branch):
+        # sigma = 2, eps = 0.05: threshold 6 * 2 * (1 + 4 sqrt(2) proxy)^2, about 204,
+        # against a shifted gap delta (0.9 - 0.05) - 32 * 2 * 0.05 of about 0.6, 150
+        # or 260.  Only at 0.6 does the variance-driven entry pass its floor 18.
+        cfg = HuberParams(beta=8.0, sigma=2.0, eps=0.05, p=0.9)
+        proxy = math.sqrt(0.9 / math.log(0.95 / 0.05))
+        threshold = 6 * 2.0 * (1 + 4 * math.sqrt(2) * proxy) ** 2
+        shifted = delta * 0.85 - 3.2
+        assert (shifted < threshold) == (branch == "small")
+        if branch == "small":
+            lead = 23 * max(4.0 / shifted**2 * (1 + 32 * proxy**2), 18.0)
+        else:
+            lead = 43 * max(2.0 / shifted, 10.0)
+        log_n = math.log(100)
+        expected = log_n * lead + 10 * (log_n + 1)
+        assert max_pulls_huber_ucb_simplified(100, delta, cfg) == pytest.approx(expected, rel=1e-12)
+
+    def test_inf_exactly_where_shifted_gap_vanishes(self):
+        # sharp: (delta - 2 bias)(p - eps) = (1.5 - 0.5)(1 - 0.125) = 0.875 = 8 beta eps, exactly
+        sharp = HuberParams(beta=0.875, sigma=1.0, eps=0.125, p=1.0, bias=0.25)
+        # explicit: delta (p - eps) = 4 * 0.875 = 3.5 = 32 sigma eps, exactly
+        explicit = HuberParams(beta=4.0, sigma=0.875, eps=0.125, p=1.0)
+        for bound, cfg, delta in ((max_pulls_huber_ucb, sharp, 1.5),
+                                  (max_pulls_huber_ucb_simplified, explicit, 4.0),
+                                  (max_pulls_seq_huber_ucb, explicit, 4.0)):
+            assert bound(10, delta, cfg) == INF
+            assert math.isfinite(bound(10, math.nextafter(delta, INF), cfg))
+
+    def test_zero_delta_is_inapplicable_and_negative_delta_rejected(self):
+        cfg = HuberParams(beta=4.0, sigma=1.0)
+        for bound in (max_pulls_huber_ucb, max_pulls_huber_ucb_simplified,
+                      max_pulls_seq_huber_ucb):
+            assert bound(10, 0.0, cfg) == INF
+            with pytest.raises(ValueError, match="^delta must be finite and nonnegative$"):
+                bound(10, -1.0, cfg)
+
     def test_n_equals_one(self):
         cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
-        gap = GapProfile(8.0, 1.0, 0.0)
-        assert max_pulls_huber_ucb(1, gap, cfg) == pytest.approx(10.0)
-        assert max_pulls_seq_huber_ucb(1, GapProfile(30.0, 1.0, 0.0), cfg) == pytest.approx(28.0)
+        assert max_pulls_huber_ucb(1, 8.0, cfg) == pytest.approx(10.0)
+        assert max_pulls_seq_huber_ucb(1, 30.0, cfg) == pytest.approx(28.0)
 
     def test_branch_threshold_is_small_gap(self):
         # eps=0: threshold = 24 sigma^2 / beta = 6; delta = 8, p = 0.75 gives
         # shifted gap exactly 6.0 -> the <= branch applies.
         cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
-        gap = GapProfile(8.0, 1.0, 0.0)
+        delta = 8.0
         n = 100
         log_n = math.log(n)
         small = 50.0 / (9 * 36.0) * 2.0
         second = 4.0 / 0.75**2 * (1 + 2 * math.sqrt(2) * (9 / (14 * math.sqrt(2)))) ** 2
         expected = log_n * max(small, second) + 10 * (log_n + 1)
-        assert max_pulls_huber_ucb(n, gap, cfg) == pytest.approx(expected, rel=1e-12)
+        assert max_pulls_huber_ucb(n, delta, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_large_gap_branch_oracle(self):
         cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
-        gap = GapProfile(20.0, 1.0, 0.0)  # shifted = 15 > threshold 6
+        delta = 20.0  # shifted = 15 > threshold 6
         n = 1000
         log_n = math.log(n)
         lead = 32 * 4.0 / (3 * 15.0)
         second = 4.0 / 0.75**2 * (1 + 2 * math.sqrt(2) * (9 / (14 * math.sqrt(2)))) ** 2
         expected = log_n * max(lead, second) + 10 * (log_n + 1)
-        assert max_pulls_huber_ucb(n, gap, cfg) == pytest.approx(expected, rel=1e-12)
+        assert max_pulls_huber_ucb(n, delta, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_seq_branch_threshold(self):
         cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
-        gap = GapProfile(24.0, 1.0, 0.0)  # shifted = 18 == threshold -> small branch
+        delta = 24.0  # shifted = 18 == threshold -> small branch
         n = 50
         log_n = math.log(n)
         expected = 80 * log_n * max(1.0 / 324.0, 3.0) + 28 * (log_n + 1)
-        assert max_pulls_seq_huber_ucb(n, gap, cfg) == pytest.approx(expected, rel=1e-12)
+        assert max_pulls_seq_huber_ucb(n, delta, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_inapplicable_below_zero_shifted_gap(self):
         cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.1, p=0.75)
-        gap = GapProfile(0.1, 1.0, 0.1)
         for bound in (max_pulls_huber_ucb, max_pulls_huber_ucb_simplified,
                       max_pulls_seq_huber_ucb):
-            assert bound(100, gap, cfg) == INF
-            assert np.array_equal(bound(np.arange(1, 4), gap, cfg), np.full(3, INF))
+            assert bound(100, 0.1, cfg) == INF
+            assert np.array_equal(bound(np.arange(1, 4), 0.1, cfg), np.full(3, INF))
 
     def test_step_array_matches_scalar_steps(self):
         # one evaluation over an array of steps equals the per-step values bit for bit
         steps = np.arange(1, 3001)
         for eps, delta in ((0.0, 0.5), (0.0, 30.0), (0.02, 2.0), (0.02, 100.0)):
             cfg = HuberParams(beta=4.0, sigma=1.0, eps=eps, p=0.9)
-            gap = GapProfile(delta, 1.0, eps)
             for bound in (max_pulls_huber_ucb, max_pulls_huber_ucb_simplified,
                           max_pulls_seq_huber_ucb):
-                per_step = [bound(int(t), gap, cfg) for t in steps]
-                assert np.array_equal(bound(steps, gap, cfg), per_step)
+                per_step = [bound(int(t), delta, cfg) for t in steps]
+                assert np.array_equal(bound(steps, delta, cfg), per_step)
 
     @pytest.mark.parametrize("n", [0, np.arange(0, 3)], ids=["zero", "array"])
     def test_rejects_steps_below_one(self, n):
@@ -269,20 +329,19 @@ class TestUpperBounds:
         for bound in (max_pulls_huber_ucb, max_pulls_huber_ucb_simplified,
                       max_pulls_seq_huber_ucb):
             with pytest.raises(ValueError, match="n must be >= 1"):
-                bound(n, GapProfile(8.0, 1.0, 0.0), cfg)
+                bound(n, 8.0, cfg)
 
     def test_nondecreasing_in_n(self):
         cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.02, p=0.9)
-        gap = GapProfile(2.0, 1.0, 0.02)
-        values = [max_pulls_huber_ucb(n, gap, cfg) for n in (10, 100, 1000, 10000)]
+        values = [max_pulls_huber_ucb(n, 2.0, cfg) for n in (10, 100, 1000, 10000)]
         assert values == sorted(values)
 
     def test_within_branch_monotone_in_gap(self):
         cfg = HuberParams(beta=4.0, sigma=1.0, eps=0.0, p=0.75)
         # large-gap branch, first entry dominant only for very large gaps;
         # compare points where the gap-dependent entry is active
-        v_small = max_pulls_huber_ucb(1000, GapProfile(0.4, 1.0, 0.0), cfg)
-        v_large = max_pulls_huber_ucb(1000, GapProfile(0.6, 1.0, 0.0), cfg)
+        v_small = max_pulls_huber_ucb(1000, 0.4, cfg)
+        v_large = max_pulls_huber_ucb(1000, 0.6, cfg)
         assert v_large <= v_small
 
     def test_simplified_dominates_sharp_on_grid(self):
@@ -295,12 +354,11 @@ class TestUpperBounds:
                     cfg = HuberParams(beta=4 * sigma, sigma=sigma, eps=eps, p=p)
                     for mult in (0.5, 2.0, 10.0, 40.0, 200.0):
                         delta = mult * sigma
-                        gap = GapProfile(delta, sigma, eps)
                         if delta * (p - eps) - 32 * sigma * eps <= 0:
                             continue
                         for n in n_values:
-                            sharp = max_pulls_huber_ucb(n, gap, cfg)
-                            loose = max_pulls_huber_ucb_simplified(n, gap, cfg)
+                            sharp = max_pulls_huber_ucb(n, delta, cfg)
+                            loose = max_pulls_huber_ucb_simplified(n, delta, cfg)
                             assert sharp <= loose * (1 + 1e-12)
                             count += 1
         assert count >= 500
